@@ -64,6 +64,9 @@ class CoinBiasAdversary final : public Adversary {
   /// Predicted N^{r-1} per receiver (the adversary has full information and
   /// replays the deliveries it allowed).
   std::vector<std::uint32_t> last_count_;
+  /// Replay buffers, reused every round.
+  DynBitset receivers_;
+  std::vector<Receipt> receipts_;
   std::uint32_t crashes_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros
 };

@@ -50,6 +50,7 @@ FaultPlan ChaosAdversary::plan_round(const WorldView& world) {
 void OmissionAdversary::begin(std::uint32_t n, std::uint32_t /*t_budget*/) {
   rng_ = Xoshiro256(opts_.seed);
   last_count_.assign(n, n);  // the paper's N^0 = n convention
+  receipts_.assign(n, Receipt{});
   omissions_spent_ = 0;
   split_parity_ = false;
 }
@@ -172,14 +173,13 @@ void OmissionAdversary::note_deliveries(const WorldView& world,
                                         const FaultPlan& plan) {
   // Replay the delivery we just allowed (omissions included) so next round's
   // thresholds use the receivers' true N^{r-1}.
-  const std::uint32_t n = world.n();
-  DynBitset receivers = world.alive();
-  world.halted().for_each_set([&](std::size_t i) { receivers.reset(i); });
+  receivers_ = world.alive();
+  world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
-  RoundTraffic traffic{world.payloads(), &plan};
-  const auto receipts = deliver(n, traffic, receivers);
-  receivers.for_each_set(
-      [&](std::size_t i) { last_count_[i] = receipts[i].count; });
+  deliver_into(world.n(), RoundTraffic{world.payloads(), &plan}, receivers_,
+               receipts_);
+  receivers_.for_each_set(
+      [&](std::size_t i) { last_count_[i] = receipts_[i].count; });
 }
 
 }  // namespace synran

@@ -55,6 +55,15 @@ class DynBitset {
     return c;
   }
 
+  /// `(*this & o).count()` without materializing the intersection.
+  std::size_t count_and(const DynBitset& o) const {
+    SYNRAN_CHECK(n_ == o.n_);
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i)
+      c += static_cast<std::size_t>(std::popcount(words_[i] & o.words_[i]));
+    return c;
+  }
+
   bool any() const {
     for (auto w : words_)
       if (w) return true;

@@ -1,12 +1,12 @@
 #include "exec/async_executor.hpp"
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "exec/first_failure.hpp"
 #include "exec/stopper.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_record.hpp"
@@ -115,17 +115,17 @@ AsyncRunStats AsyncBatchExecutor::run(const AsyncProcessFactory& factory,
   }
 
   // Parallel path: workers fill disjoint slots; the only shared mutable
-  // state is the fail-fast flag and the monotone stop flag.
+  // state is the earliest failed rep and the monotone stop flag.
   std::vector<RepOutcome> outcomes(spec.reps);
   std::vector<unsigned char> done(spec.reps, 0);
-  std::atomic<bool> failed{false};
+  FirstFailure first_failure;
 
   const bool observed = spec.engine.observer != nullptr;
 
   auto worker = [&](unsigned w) {
     for (std::size_t rep = w; rep < spec.reps; rep += threads) {
       if (stop_requested()) return;
-      if (!quarantine && failed.load(std::memory_order_relaxed)) return;
+      if (!quarantine && first_failure.precedes(rep)) return;
       if (observed) {
         // Buffer privately; the fold replays in rep order so the observer
         // sees the serial callback stream at any thread count.
@@ -141,7 +141,7 @@ AsyncRunStats AsyncBatchExecutor::run(const AsyncProcessFactory& factory,
       }
       done[rep] = 1;
       if (!outcomes[rep].ok && !quarantine) {
-        failed.store(true, std::memory_order_relaxed);
+        first_failure.note(rep);
         return;
       }
     }
@@ -158,15 +158,11 @@ AsyncRunStats AsyncBatchExecutor::run(const AsyncProcessFactory& factory,
     throw_interrupted(completed, spec.reps);
   }
 
-  if (failed.load()) {
-    // Deterministic error selection: the earliest failing rep wins.
-    for (std::size_t rep = 0; rep < spec.reps; ++rep) {
-      if (done[rep] != 0 && !outcomes[rep].ok) {
-        throw RepError(rep, outcomes[rep].failure.seed,
-                       outcomes[rep].failure.error);
-      }
-    }
-    SYNRAN_CHECK_MSG(false, "fail-fast flag set without a recorded failure");
+  if (const auto rep = first_failure.rep()) {
+    // Deterministic error selection: the earliest failing rep wins, and
+    // every rep before it ran.
+    const RepFailure& f = outcomes[*rep].failure;
+    throw RepError(*rep, f.seed, f.error);
   }
 
   // Rep-order fold, replaying buffered callbacks first — the serial run's

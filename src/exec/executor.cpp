@@ -1,6 +1,5 @@
 #include "exec/executor.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -8,6 +7,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "exec/first_failure.hpp"
 #include "exec/stopper.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_record.hpp"
@@ -127,12 +127,12 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
   }
 
   // Parallel path. Workers fill disjoint slots of `outcomes`; the only
-  // shared mutable state is the fail-fast flag below and the (monotonic)
-  // stop flag. A stop request lets every worker finish its in-flight rep,
-  // then the batch throws after the join.
+  // shared mutable state is the earliest failed rep below and the
+  // (monotonic) stop flag. A stop request lets every worker finish its
+  // in-flight rep, then the batch throws after the join.
   std::vector<RepOutcome> outcomes(spec.reps);
   std::vector<unsigned char> done(spec.reps, 0);
-  std::atomic<bool> failed{false};
+  FirstFailure first_failure;
 
   const bool observed = spec.engine.observer != nullptr;
 
@@ -141,7 +141,7 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
     Engine engine(ws);
     for (std::size_t rep = w; rep < spec.reps; rep += threads) {
       if (stop_requested()) return;
-      if (!quarantine && failed.load(std::memory_order_relaxed)) return;
+      if (!quarantine && first_failure.precedes(rep)) return;
       if (observed) {
         // Buffer the rep's callback stream privately; the fold below
         // replays the buffers into the real observer in rep order, so the
@@ -158,7 +158,7 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
       }
       done[rep] = 1;
       if (!outcomes[rep].ok && !quarantine) {
-        failed.store(true, std::memory_order_relaxed);
+        first_failure.note(rep);
         return;
       }
     }
@@ -175,16 +175,12 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
     throw_interrupted(completed, spec.reps);
   }
 
-  if (failed.load()) {
-    // Deterministic error selection: report the earliest failing rep,
-    // regardless of which worker hit its error first in wall time.
-    for (std::size_t rep = 0; rep < spec.reps; ++rep) {
-      if (done[rep] != 0 && !outcomes[rep].ok) {
-        throw RepError(rep, outcomes[rep].failure.seed,
-                       outcomes[rep].failure.error);
-      }
-    }
-    SYNRAN_CHECK_MSG(false, "fail-fast flag set without a recorded failure");
+  if (const auto rep = first_failure.rep()) {
+    // Deterministic error selection: every rep before the earliest failure
+    // ran, so it is the serial run's failure, whichever worker hit an error
+    // first in wall time.
+    const RepFailure& f = outcomes[*rep].failure;
+    throw RepError(*rep, f.seed, f.error);
   }
 
   // Fold in rep order — the serial run's exact floating-point sequence —

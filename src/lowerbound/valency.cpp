@@ -243,12 +243,10 @@ class Evaluator {
       State child = post.deep_copy();
       DynBitset receivers = active;
       for (const auto& c : plan.crashes) receivers.reset(c.victim);
-      RoundTraffic traffic{payloads, &plan};
-      const auto delivered = deliver(child.n, traffic, receivers);
-      receivers.for_each_set([&](std::size_t i) {
-        child.receipts[i] = delivered[i];
-        child.have_receipt[i] = true;
-      });
+      deliver_into(child.n, RoundTraffic{payloads, &plan}, receivers,
+                   child.receipts);
+      receivers.for_each_set(
+          [&](std::size_t i) { child.have_receipt[i] = true; });
       for (const auto& c : plan.crashes) child.alive.reset(c.victim);
       child.budget -= static_cast<std::uint32_t>(plan.crash_count());
 
@@ -358,17 +356,13 @@ ValencyVerdict evaluate_after_plan(const WorldView& world,
   for (ProcessId i = 0; i < post.n; ++i)
     post.procs.push_back(world.process(i).clone());
 
-  DynBitset receivers = post.alive;
-  for (const auto& c : plan.crashes) receivers.reset(c.victim);
-  DynBitset active = receivers;
+  DynBitset active = post.alive;
+  for (const auto& c : plan.crashes) active.reset(c.victim);
   post.halted.for_each_set([&](std::size_t i) { active.reset(i); });
 
-  RoundTraffic traffic{world.payloads(), &plan};
-  const auto delivered = deliver(post.n, traffic, active);
-  active.for_each_set([&](std::size_t i) {
-    post.receipts[i] = delivered[i];
-    post.have_receipt[i] = true;
-  });
+  deliver_into(post.n, RoundTraffic{world.payloads(), &plan}, active,
+               post.receipts);
+  active.for_each_set([&](std::size_t i) { post.have_receipt[i] = true; });
   for (const auto& c : plan.crashes) post.alive.reset(c.victim);
 
   Evaluator ev(options);

@@ -9,9 +9,12 @@
 // for each target's forged one (subtract truth, add forgery; `count` stays
 // put because the message still arrives), with the non-invertible or_mask
 // rebuilt exactly from per-bit sender counts and forged masks OR'd back on
-// top. Total cost stays
-// O(n + faults·n_bits/64 + Σ|partial recipients| + Σ|faulted links|) per
-// round instead of the naive O(n²). A deliberately naive reference
+// top. Consecutive crash victims with equal deliver_to masks form one group
+// whose payloads are folded once and added once per recipient, so an
+// adversary hiding a whole camp from one receiver set pays for the mask,
+// not for every victim. Total cost stays
+// O(n + Σ over groups |mask| + directives·n/64 + Σ|omitted and forged links|)
+// per round instead of the naive O(n²). A deliberately naive reference
 // implementation is provided for cross-checking in tests.
 #pragma once
 
@@ -34,8 +37,14 @@ struct RoundTraffic {
   const FaultPlan* plan = nullptr;
 };
 
-/// Computes the receipt of every process in `receivers` (set bits). Receipts
-/// for non-receiver indices are value-initialized. `n` is the system size.
+/// Writes the receipt of every process in `receivers` (set bits) into its
+/// slot of `out`, which must hold `n` receipts; the slots of non-receivers
+/// are left untouched. `n` is the system size.
+void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
+                  const DynBitset& receivers, std::span<Receipt> out);
+
+/// `deliver_into` a fresh vector: receipts for non-receiver indices are
+/// value-initialized.
 std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,
                              const DynBitset& receivers);
 

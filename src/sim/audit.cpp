@@ -301,11 +301,11 @@ void RunAuditor::on_deliveries(
   }
   std::uint64_t expected = full_senders * active_receivers.count();
   for (const auto& c : plan.crashes) {
-    expected += (c.deliver_to & active_receivers).count();
+    expected += c.deliver_to.count_and(active_receivers);
   }
   std::uint64_t omitted = 0;
   for (const auto& o : plan.omissions) {
-    omitted += (o.drop_for & active_receivers).count();
+    omitted += o.drop_for.count_and(active_receivers);
   }
   expected -= omitted;
   if (delivered != expected) {

@@ -86,6 +86,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
 
   DynBitset& alive = ws_.alive_;    // not crashed by the adversary
   DynBitset& halted = ws_.halted_;  // voluntarily stopped
+  DynBitset& active = ws_.active_;  // this round's receivers
   auto& payloads = ws_.payloads_;
   auto& receipts = ws_.receipts_;
   auto& have_receipt = ws_.have_receipt_;
@@ -153,28 +154,22 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     std::uint64_t round_delivered = 0;
     std::uint64_t round_omitted = 0;
     std::uint64_t round_corrupted = 0;
-    DynBitset receivers = alive;
-    for (const auto& c : plan.crashes) receivers.reset(c.victim);
-    {
-      DynBitset active = receivers;
-      halted.for_each_set([&](std::size_t i) { active.reset(i); });
-      RoundTraffic traffic{payloads, &plan};
-      auto delivered = deliver(n, traffic, active);
-      const std::uint64_t before = sum.messages_delivered;
-      active.for_each_set([&](std::size_t i) {
-        receipts[i] = delivered[i];
-        have_receipt[i] = 1;
-        sum.messages_delivered += delivered[i].count;
-      });
-      round_delivered = sum.messages_delivered - before;
-      for (const auto& o : plan.omissions)
-        round_omitted += (o.drop_for & active).count();
-      for (const auto& cd : plan.corruptions)
-        for (const auto& fg : cd.forgeries)
-          if (active.test(fg.target)) ++round_corrupted;
-      auditor.on_deliveries(r, plan, payloads, active, round_delivered);
-      if (observer != nullptr) observer->on_deliveries(r, round_delivered);
-    }
+    active = alive;
+    for (const auto& c : plan.crashes) active.reset(c.victim);
+    halted.for_each_set([&](std::size_t i) { active.reset(i); });
+    deliver_into(n, RoundTraffic{payloads, &plan}, active, receipts);
+    active.for_each_set([&](std::size_t i) {
+      have_receipt[i] = 1;
+      round_delivered += receipts[i].count;
+    });
+    sum.messages_delivered += round_delivered;
+    for (const auto& o : plan.omissions)
+      round_omitted += o.drop_for.count_and(active);
+    for (const auto& cd : plan.corruptions)
+      for (const auto& fg : cd.forgeries)
+        if (active.test(fg.target)) ++round_corrupted;
+    auditor.on_deliveries(r, plan, payloads, active, round_delivered);
+    if (observer != nullptr) observer->on_deliveries(r, round_delivered);
 
     // Commit the crashes and the omission/corruption spend.
     budget_left -= static_cast<std::uint32_t>(plan.crash_count());

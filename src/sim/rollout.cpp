@@ -44,17 +44,12 @@ void ForkState::deliver_with(const FaultPlan& plan) {
   for (const auto& c : plan.crashes)
     SYNRAN_CHECK_MSG(alive_.test(c.victim), "rollout crashed a dead process");
 
-  DynBitset receivers = alive_;
-  for (const auto& c : plan.crashes) receivers.reset(c.victim);
-  DynBitset active = receivers;
+  DynBitset active = alive_;
+  for (const auto& c : plan.crashes) active.reset(c.victim);
   halted_.for_each_set([&](std::size_t i) { active.reset(i); });
 
-  RoundTraffic traffic{payloads_, &plan};
-  auto delivered = deliver(n_, traffic, active);
-  active.for_each_set([&](std::size_t i) {
-    receipts_[i] = delivered[i];
-    have_receipt_[i] = true;
-  });
+  deliver_into(n_, RoundTraffic{payloads_, &plan}, active, receipts_);
+  active.for_each_set([&](std::size_t i) { have_receipt_[i] = true; });
 
   budget_left_ -= static_cast<std::uint32_t>(plan.crash_count());
   for (const auto& c : plan.crashes) alive_.reset(c.victim);

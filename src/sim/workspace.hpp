@@ -104,6 +104,7 @@ class EngineWorkspace {
   std::vector<RandomCoinSource> coins_;
   DynBitset alive_;
   DynBitset halted_;
+  DynBitset active_;  ///< the current round's receivers (engine-assigned)
   std::vector<std::optional<Payload>> payloads_;
   std::vector<Receipt> receipts_;
   std::vector<std::uint8_t> have_receipt_;

@@ -9,12 +9,14 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "async/benor.hpp"
 #include "async/core.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "obs/trace_writer.hpp"
 #include "runner/experiment.hpp"
 
@@ -156,6 +158,44 @@ TEST(AsyncExecFailures, FailFastThrowsEarliestRep) {
       EXPECT_EQ(e.rep(), 0u) << "earliest failing rep not selected";
       EXPECT_EQ(e.seed(), engine_seed_for_rep(spec.seed, 0));
     }
+  }
+}
+
+/// Deterministic busy work that keeps one worker occupied for a while;
+/// tests may read no clock and start no thread, so they cannot sleep.
+std::uint64_t busy_work(std::uint64_t steps) {
+  Xoshiro256 rng(steps);
+  std::uint64_t acc = 0;
+  for (std::uint64_t i = 0; i < steps; ++i) acc ^= rng.next();
+  return acc;
+}
+
+TEST(AsyncExecFailures, LaterFailureNeverSkipsAnEarlierRep) {
+  // Two workers: worker 0 runs reps 0, 2, 4, worker 1 runs 1, 3, 5. Rep 0
+  // is slow and rep 3 fails at once, so worker 1's failure usually lands
+  // while rep 2 still waits behind rep 0. Fail-fast may skip only reps
+  // after the earliest failure, so rep 2 still runs and is reported.
+  const BenOrAsyncFactory factory;
+  AsyncRepeatSpec spec = base_spec(77, 2);
+  spec.reps = 6;
+  const std::uint64_t slow = adversary_seed_for_rep(spec.seed, 0);
+  const std::uint64_t bad2 = adversary_seed_for_rep(spec.seed, 2);
+  const std::uint64_t bad3 = adversary_seed_for_rep(spec.seed, 3);
+  const AsyncSchedulerFactory random = random_scheduler_factory();
+  const AsyncSchedulerFactory faulty =
+      [&](std::uint64_t seed) -> std::unique_ptr<AsyncScheduler> {
+    if (seed == slow && busy_work(std::uint64_t{1} << 25) == 0)
+      throw std::runtime_error("busy work degenerated");
+    if (seed == bad2 || seed == bad3)
+      return std::make_unique<BrokenScheduler>();
+    return random(seed);
+  };
+  try {
+    run_repeated_async(factory, faulty, held_delay_factory(), spec);
+    FAIL() << "expected the rep-2 failure";
+  } catch (const RepError& e) {
+    EXPECT_EQ(e.rep(), 2u) << e.what();
+    EXPECT_EQ(e.seed(), engine_seed_for_rep(spec.seed, 2));
   }
 }
 

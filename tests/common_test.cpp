@@ -311,6 +311,27 @@ TEST(DynBitsetTest, EqualityAndHash) {
 TEST(DynBitsetTest, MismatchedSizesThrow) {
   DynBitset a(10), b(11);
   EXPECT_THROW(a &= b, InvariantError);
+  EXPECT_THROW(a.count_and(b), InvariantError);
+}
+
+TEST(DynBitsetTest, CountAndMatchesMaterializedIntersection) {
+  // Word-boundary sizes: empty, one short of a word, exactly one, one past,
+  // and a partial third word.
+  Xoshiro256 rng(2027);
+  for (std::size_t n : {0u, 63u, 64u, 65u, 130u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      DynBitset a(n), b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.flip()) a.set(i);
+        if (rng.flip()) b.set(i);
+      }
+      EXPECT_EQ(a.count_and(b), (a & b).count()) << "n=" << n;
+      EXPECT_EQ(b.count_and(a), (a & b).count()) << "n=" << n;
+    }
+    const DynBitset full(n, true), none(n);
+    EXPECT_EQ(full.count_and(full), n);
+    EXPECT_EQ(full.count_and(none), 0u);
+  }
 }
 
 // ------------------------------------------------------------------- Table

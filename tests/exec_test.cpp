@@ -15,6 +15,7 @@
 #include "adversary/basic.hpp"
 #include "adversary/coinbias.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "exec/executor.hpp"
 #include "exec/stopper.hpp"
 #include "obs/observer.hpp"
@@ -315,6 +316,44 @@ TEST(ExecErrors, EarliestRepFailureWinsAtAnyThreadCount) {
       EXPECT_EQ(e.rep(), 3u);
       EXPECT_EQ(e.seed(), rep3_engine_seed);
     }
+  }
+}
+
+/// Deterministic busy work that keeps one worker occupied for a while;
+/// tests may read no clock and start no thread, so they cannot sleep.
+std::uint64_t busy_work(std::uint64_t steps) {
+  Xoshiro256 rng(steps);
+  std::uint64_t acc = 0;
+  for (std::uint64_t i = 0; i < steps; ++i) acc ^= rng.next();
+  return acc;
+}
+
+TEST(ExecErrors, LaterFailureNeverSkipsAnEarlierRep) {
+  // Two workers: worker 0 runs reps 0, 2, 4, worker 1 runs 1, 3, 5. Rep 0
+  // is slow and rep 3 fails at once, so worker 1's failure usually lands
+  // while rep 2 still waits behind rep 0. Fail-fast may skip only reps
+  // after the earliest failure, so rep 2 still runs and its failure — the
+  // serial run's — is the one reported.
+  SynRanFactory protocol;
+  RepeatSpec spec = base_spec(InputPattern::Half, 4321);
+  spec.threads = 2;
+  const std::uint64_t slow = adversary_seed_for_rep(spec.seed, 0);
+  const std::uint64_t bad2 = adversary_seed_for_rep(spec.seed, 2);
+  const std::uint64_t bad3 = adversary_seed_for_rep(spec.seed, 3);
+  const AdversaryFactory faulty =
+      [&](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+    if (seed == slow && busy_work(std::uint64_t{1} << 25) == 0)
+      throw std::runtime_error("busy work degenerated");
+    if (seed == bad2) throw std::runtime_error("boom at rep 2");
+    if (seed == bad3) throw std::runtime_error("boom at rep 3");
+    return std::make_unique<NoAdversary>();
+  };
+  try {
+    run_repeated(protocol, faulty, spec);
+    FAIL() << "expected the rep-2 failure";
+  } catch (const RepError& e) {
+    EXPECT_EQ(e.rep(), 2u) << e.what();
+    EXPECT_EQ(e.seed(), engine_seed_for_rep(spec.seed, 2));
   }
 }
 

@@ -2,7 +2,10 @@
 // equivalence of the fast delivery path with the naive reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -126,6 +129,48 @@ TEST(FabricTest, WrongPayloadSizeThrows) {
   DynBitset receivers(3, true);
   RoundTraffic traffic{payloads, nullptr};
   EXPECT_THROW(deliver(3, traffic, receivers), ArgumentError);
+}
+
+TEST(FabricTest, DeliverIntoWritesOnlyReceiverSlots) {
+  // Two crashed 1-senders share one mask, which also reaches a
+  // non-receiver (4): only receiver slots may be written.
+  const auto payloads = bits_payloads({1, 0, 1, 0, 1});
+  FaultPlan plan;
+  DynBitset mask(5);
+  mask.set(1);
+  mask.set(4);
+  plan.crashes.push_back({0, mask});
+  plan.crashes.push_back({2, mask});
+  DynBitset receivers(5, true);
+  receivers.reset(0);
+  receivers.reset(2);
+  receivers.reset(4);
+  const Receipt sentinel{77, 88, 99, 0xdead};
+  std::vector<Receipt> out(5, sentinel);
+  RoundTraffic traffic{payloads, &plan};
+  deliver_into(5, traffic, receivers, out);
+  const auto naive = deliver_naive(5, traffic, receivers);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    if (receivers.test(i))
+      EXPECT_EQ(out[i], naive[i]) << "receiver " << i;
+    else
+      EXPECT_EQ(out[i], sentinel) << "non-receiver " << i;
+  }
+  EXPECT_EQ(out[1].count, 5u);  // three full senders + both victims
+  EXPECT_EQ(out[1].ones, 3u);
+  EXPECT_EQ(out[3].count, 3u);  // the full senders only
+  EXPECT_EQ(out[3].ones, 1u);
+}
+
+TEST(FabricTest, DeliverIntoRejectsWrongSpanSize) {
+  const auto payloads = bits_payloads({1, 0, 1});
+  DynBitset receivers(3, true);
+  RoundTraffic traffic{payloads, nullptr};
+  const Receipt sentinel{1, 2, 3, 4};
+  std::vector<Receipt> too_short(2, sentinel), too_long(4, sentinel);
+  EXPECT_THROW(deliver_into(3, traffic, receivers, too_short), ArgumentError);
+  EXPECT_THROW(deliver_into(3, traffic, receivers, too_long), ArgumentError);
+  for (const auto& r : too_long) EXPECT_EQ(r, sentinel);
 }
 
 // Property: fast path == naive path on random traffic.
@@ -491,6 +536,152 @@ TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, CorruptFabricEquivalence,
                          ::testing::Range<std::uint64_t>(1, 66));
+
+// Property: fast path == naive path when crash victims share masks, the
+// shape the grouped crash path folds. Every victim's mask comes from a pool
+// of two or three (drawn from the empty mask, the all-ones mask and two
+// random ones), so consecutive victims form runs of equal masks, distinct
+// masks interleave, and masks reach non-receivers; omissions and
+// corruptions ride along. n spans one to four bitset words, word edges
+// included.
+struct GroupedCrashCase {
+  std::uint32_t n = 0;
+  std::vector<std::optional<Payload>> payloads;
+  FaultPlan plan;
+  DynBitset receivers;
+};
+
+constexpr std::uint64_t kGroupedCrashSeeds = 60;
+
+GroupedCrashCase grouped_crash_case(std::uint64_t seed) {
+  Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ULL + 5);
+  constexpr std::uint32_t kEdgeSizes[] = {64, 65, 128, 3, 200};
+  GroupedCrashCase c;
+  c.n = seed <= std::size(kEdgeSizes)
+            ? kEdgeSizes[seed - 1]
+            : 3 + static_cast<std::uint32_t>(rng.below(198));
+  const std::uint32_t n = c.n;
+
+  c.payloads.resize(n);
+  std::vector<ProcessId> senders;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (rng.uniform() < 0.85) {
+      c.payloads[i] = rng.next() & 0x7;
+      senders.push_back(i);
+    }
+  }
+
+  std::vector<DynBitset> pool{DynBitset(n), DynBitset(n, true)};
+  for (int k = 0; k < 2; ++k) {
+    DynBitset m(n);
+    for (std::uint32_t r = 0; r < n; ++r)
+      if (rng.flip()) m.set(r);
+    pool.push_back(std::move(m));
+  }
+  for (std::size_t k = 0; k + 1 < pool.size(); ++k)
+    std::swap(pool[k], pool[k + rng.below(pool.size() - k)]);
+  pool.resize(2 + rng.below(2));
+
+  c.receivers = DynBitset(n, true);
+  std::size_t used = 0;  // prefix of `senders` consumed by directives so far
+  const std::size_t crashes = rng.below(senders.size() + 1);
+  std::size_t pick = rng.below(pool.size());
+  for (; used < crashes; ++used) {
+    const std::size_t j = used + rng.below(senders.size() - used);
+    std::swap(senders[used], senders[j]);
+    if (rng.uniform() < 0.3) pick = rng.below(pool.size());
+    c.plan.crashes.push_back({senders[used], pool[pick]});
+    c.receivers.reset(senders[used]);
+  }
+  if (used < senders.size()) {
+    const std::size_t omissions =
+        rng.below(std::min<std::size_t>(senders.size() - used, 4) + 1);
+    for (std::size_t k = 0; k < omissions; ++k, ++used) {
+      const std::size_t j = used + rng.below(senders.size() - used);
+      std::swap(senders[used], senders[j]);
+      DynBitset drop(n);
+      for (std::uint32_t r = 0; r < n; ++r)
+        if (rng.uniform() < 0.4) drop.set(r);
+      c.plan.omissions.push_back({senders[used], drop});
+    }
+  }
+  if (used < senders.size()) {
+    const std::size_t corruptions =
+        rng.below(std::min<std::size_t>(senders.size() - used, 3) + 1);
+    for (std::size_t k = 0; k < corruptions; ++k, ++used) {
+      const std::size_t j = used + rng.below(senders.size() - used);
+      std::swap(senders[used], senders[j]);
+      CorruptionDirective cd;
+      cd.sender = senders[used];
+      DynBitset targeted(n);
+      for (std::uint32_t f = 0; f < 8; ++f) {
+        const auto target = static_cast<ProcessId>(rng.below(n));
+        if (targeted.test(target)) continue;
+        targeted.set(target);
+        cd.forgeries.push_back({target, rng.next() & 0x3ff});
+      }
+      c.plan.corruptions.push_back(std::move(cd));
+    }
+  }
+  for (std::uint32_t i = 0; i < n; ++i)
+    if (rng.uniform() < 0.2) c.receivers.reset(i);
+  return c;
+}
+
+TEST(GroupedCrashFabricTest, GeneratorReachesSharedAndWideMasks) {
+  // The property below is only as strong as its plans: across its seeds
+  // they must hold multi-victim groups (some of them on multi-word masks),
+  // a mask that recurs after a different one, and the empty and all-ones
+  // masks.
+  int grouped = 0, wide_grouped = 0, interleaved = 0, empty = 0, full = 0;
+  for (std::uint64_t seed = 1; seed <= kGroupedCrashSeeds; ++seed) {
+    const GroupedCrashCase c = grouped_crash_case(seed);
+    const auto& cr = c.plan.crashes;
+    bool has_group = false, has_interleave = false;
+    for (std::size_t k = 1; k < cr.size(); ++k) {
+      if (cr[k].deliver_to == cr[k - 1].deliver_to) has_group = true;
+      if (k >= 2 && cr[k].deliver_to == cr[k - 2].deliver_to &&
+          !(cr[k].deliver_to == cr[k - 1].deliver_to))
+        has_interleave = true;
+    }
+    grouped += has_group;
+    wide_grouped += has_group && c.n > 64;
+    interleaved += has_interleave;
+    for (const auto& d : cr) {
+      if (d.deliver_to.none()) ++empty;
+      if (d.deliver_to.count() == c.n) ++full;
+    }
+  }
+  EXPECT_GE(grouped, 30);
+  EXPECT_GE(wide_grouped, 20);
+  EXPECT_GE(interleaved, 10);
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(full, 0);
+}
+
+class GroupedCrashFabricEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GroupedCrashFabricEquivalence, FastMatchesNaive) {
+  const GroupedCrashCase c = grouped_crash_case(GetParam());
+  const std::uint32_t n = c.n;
+  RoundTraffic traffic{c.payloads, &c.plan};
+  const auto naive = deliver_naive(n, traffic, c.receivers);
+  const auto fast = deliver(n, traffic, c.receivers);
+  ASSERT_EQ(fast.size(), naive.size());
+  const Receipt sentinel{7, 7, 7, 0x7777};
+  std::vector<Receipt> into(n, sentinel);
+  deliver_into(n, traffic, c.receivers, into);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
+    EXPECT_EQ(into[i], c.receivers.test(i) ? naive[i] : sentinel)
+        << "slot " << i << " n=" << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GroupedCrashTraffic, GroupedCrashFabricEquivalence,
+    ::testing::Range<std::uint64_t>(1, kGroupedCrashSeeds + 1));
 
 }  // namespace
 }  // namespace synran

@@ -47,6 +47,10 @@ trap cleanup EXIT
 frame() { printf '%s\n%s' "${#1}" "$1"; }
 
 start_daemon() {
+  # A SIGKILLed daemon leaves its socket file behind; remove it so the wait
+  # below sees the new daemon's socket, which it binds only after logging
+  # its cache recovery.
+  rm -f "$SOCK"
   "$CLI" serve --socket "$SOCK" --cache-dir "$CACHE" --git-rev smoke \
     "$@" 2>> serve.log &
   DAEMON=$!
