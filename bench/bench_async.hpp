@@ -1,15 +1,15 @@
-// Bench plumbing for the event-driven asynchronous engine: the async
-// counterpart of bench_util.hpp's run_cell. A cell is one repeated async
-// batch (protocol factory × scheduler factory × delay factory); it honors
-// the same environment hooks — SYNRAN_FAIL_POLICY / SYNRAN_REP_RETRIES,
-// SYNRAN_THREADS / --threads=N, per-batch traces under SYNRAN_TRACE_DIR
-// (byte-identical at any thread count: the async executor replays buffered
-// observer events in rep order, mirroring the synchronous one), checkpoint
-// recording under SYNRAN_CKPT_DIR, and reload-instead-of-recompute under
-// SYNRAN_RESUME=1. Async and sync cells share one ledger and one ordinal
-// counter, so a mixed sweep (e.g. E16) resumes as a whole; the async cell
-// key is prefixed "model=async" so the two families can never serve each
-// other stale data even at a colliding ordinal.
+// Bench plumbing for the event-driven asynchronous engine: run_async_cell,
+// the async adapter of bench_util.hpp's run_checkpointed_cell. A cell is
+// one repeated async batch (protocol factory × scheduler factory × delay
+// factory) and honors the same environment hooks as a sync cell —
+// SYNRAN_FAIL_POLICY / SYNRAN_REP_RETRIES, SYNRAN_THREADS / --threads=N,
+// per-batch traces under SYNRAN_TRACE_DIR (byte-identical at any thread
+// count), checkpoint recording under SYNRAN_CKPT_DIR, and
+// reload-instead-of-recompute under SYNRAN_RESUME=1. Async and sync cells
+// share one ledger and one ordinal counter, so a mixed sweep (e.g. E16)
+// resumes as a whole; the async cell key is prefixed "model=async" so the
+// two families can never serve each other stale data even at a colliding
+// ordinal.
 #pragma once
 
 #include "bench_util.hpp"
@@ -19,72 +19,18 @@
 
 namespace synran::bench {
 
-/// Runs one async grid cell through the full resilience plumbing, including
-/// the checkpoint ledger — restored cells reproduce the uninterrupted
-/// report byte-for-byte, exactly like run_cell. Quarantined reps land in
-/// the report's "failures" array either way (fresh or restored).
+/// An async grid cell through run_checkpointed_cell, at the binary's
+/// thread count.
 inline AsyncRunStats run_async_cell(const AsyncProcessFactory& factory,
                                     const AsyncSchedulerFactory& schedulers,
                                     const AsyncDelayFactory& delays,
                                     AsyncRepeatSpec spec,
                                     const std::string& tag) {
-  spec.policy = bench_fail_policy(spec.policy);
-  spec.max_rep_retries = bench_rep_retries(spec.max_rep_retries);
   spec.threads = bench_threads();
-
-  auto& ckpt = CheckpointState::instance();
-  const std::uint64_t cell = ckpt.next_cell();
-  const std::string key = async_spec_cell_key(spec, factory.name(), tag);
-
-  auto report_failures = [cell](const AsyncRunStats& stats) {
-    for (const RepFailure& f : stats.failures()) {
-      BenchReport::instance().note_failure(cell, f);
-      std::cout << "  [quarantined: rep " << f.rep << " (engine seed "
-                << f.seed << ", " << f.attempts << " attempts): " << f.error
-                << "]\n";
-    }
-  };
-
-  if (ckpt.resuming() && ckpt.ledger() != nullptr) {
-    if (const obs::CheckpointCell* hit = ckpt.ledger()->find(cell, key)) {
-      auto stats = AsyncRunStats::from_checkpoint(hit->data);
-      std::cout << "  [ckpt: cell " << cell << " restored]\n";
-      report_failures(stats);
-      return stats;
-    }
-  }
-
-  ScopedTrace trace;
-  if (spec.engine.observer == nullptr) {
-    trace = open_trace(tag);
-    spec.engine.observer = trace.observer();
-  }
-  const auto batch_start = std::chrono::steady_clock::now();
-  auto stats = exec::AsyncBatchExecutor().run(factory, schedulers, delays,
-                                              spec);
-  trace.close();
-  if (trace.active()) {
-    const double batch_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      batch_start)
-            .count();
-    BenchReport::instance().note_trace_overhead(
-        trace.timer->events_written(), trace.timer->bytes_written(),
-        trace.timer->write_seconds(), batch_seconds);
-  }
-
-  if (obs::CheckpointLedger* ledger = ckpt.ledger()) {
-    try {
-      ledger->record(
-          obs::CheckpointCell{cell, key, stats.checkpoint_json()});
-    } catch (const obs::IoError& e) {
-      // A dead checkpoint dir must not kill a healthy sweep: the cell's
-      // results are already in hand, only resumability is lost.
-      std::cout << "  [" << e.what() << "]\n";
-    }
-  }
-  report_failures(stats);
-  return stats;
+  return run_checkpointed_cell(
+      std::move(spec), factory.name(), tag, [&](const AsyncRepeatSpec& s) {
+        return exec::AsyncBatchExecutor().run(factory, schedulers, delays, s);
+      });
 }
 
 /// Convenience wrapper mirroring attack_run: Ben-Or (optionally with

@@ -488,10 +488,9 @@ inline FailurePolicy bench_fail_policy(
 }
 
 /// Per-rep retry budget from SYNRAN_REP_RETRIES (default `fallback`).
+/// Anything but a count (exec::env_count) throws ArgumentError.
 inline std::uint32_t bench_rep_retries(std::uint32_t fallback = 0) {
-  const char* env = std::getenv("SYNRAN_REP_RETRIES");
-  if (env == nullptr || *env == '\0') return fallback;
-  return static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
+  return exec::env_count("SYNRAN_REP_RETRIES").value_or(fallback);
 }
 
 /// Process-wide checkpoint plumbing for the bench harness: binds the ledger
@@ -557,27 +556,28 @@ class CheckpointState {
   obs::CheckpointLedger ledger_;
 };
 
-/// Runs one grid cell — a repeated batch — through the resilience plumbing:
-/// SYNRAN_FAIL_POLICY / SYNRAN_REP_RETRIES overrides, per-batch trace in
-/// the configured format (any thread count — the executor replays buffered
-/// events in rep order, so the trace is byte-identical to a serial run),
-/// checkpoint recording under SYNRAN_CKPT_DIR, and
-/// reload-instead-of-recompute under SYNRAN_RESUME=1 when the recorded cell
-/// key still matches. Quarantined reps land in the report's "failures"
-/// array either way (fresh or restored), so a resumed report is
-/// byte-identical to an uninterrupted one. Traced batches also feed the
-/// report's "trace_overhead" block.
-inline RepeatedRunStats run_cell(const ProcessFactory& factory,
-                                 const AdversaryFactory& adversaries,
-                                 RepeatSpec spec, const std::string& tag) {
+/// Runs one grid cell — a repeated batch of either model, executed by
+/// `run(spec)` — through the resilience plumbing: SYNRAN_FAIL_POLICY /
+/// SYNRAN_REP_RETRIES overrides, per-batch trace in the configured format
+/// (any thread count — the executor replays buffered events in rep order,
+/// so the trace is byte-identical to a serial run), checkpoint recording
+/// under SYNRAN_CKPT_DIR, and reload-instead-of-recompute under
+/// SYNRAN_RESUME=1 when the recorded cell key still matches. Quarantined
+/// reps land in the report's "failures" array either way (fresh or
+/// restored), so a resumed report is byte-identical to an uninterrupted
+/// one. Traced batches also feed the report's "trace_overhead" block.
+template <typename Spec, typename Run>
+auto run_checkpointed_cell(Spec spec, std::string_view protocol,
+                           const std::string& tag, const Run& run) {
+  using Stats = decltype(run(spec));
   spec.policy = bench_fail_policy(spec.policy);
-  spec.engine.max_rep_retries = bench_rep_retries(spec.engine.max_rep_retries);
+  spec.max_rep_retries = bench_rep_retries(spec.max_rep_retries);
 
   auto& ckpt = CheckpointState::instance();
   const std::uint64_t cell = ckpt.next_cell();
-  const std::string key = spec_cell_key(spec, factory.name(), tag);
+  const std::string key = spec_cell_key(spec, protocol, tag);
 
-  auto report_failures = [cell](const RepeatedRunStats& stats) {
+  auto report_failures = [cell](const Stats& stats) {
     for (const RepFailure& f : stats.failures()) {
       BenchReport::instance().note_failure(cell, f);
       std::cout << "  [quarantined: rep " << f.rep << " (engine seed "
@@ -588,7 +588,7 @@ inline RepeatedRunStats run_cell(const ProcessFactory& factory,
 
   if (ckpt.resuming() && ckpt.ledger() != nullptr) {
     if (const obs::CheckpointCell* hit = ckpt.ledger()->find(cell, key)) {
-      auto stats = RepeatedRunStats::from_checkpoint(hit->data);
+      Stats stats = Stats::from_checkpoint(hit->data);
       std::cout << "  [ckpt: cell " << cell << " restored]\n";
       report_failures(stats);
       return stats;
@@ -601,7 +601,7 @@ inline RepeatedRunStats run_cell(const ProcessFactory& factory,
     spec.engine.observer = trace.observer();
   }
   const auto batch_start = std::chrono::steady_clock::now();
-  auto stats = run_repeated(factory, adversaries, spec);
+  Stats stats = run(spec);
   trace.close();
   if (trace.active()) {
     const double batch_seconds =
@@ -625,6 +625,16 @@ inline RepeatedRunStats run_cell(const ProcessFactory& factory,
   }
   report_failures(stats);
   return stats;
+}
+
+/// A sync grid cell through run_checkpointed_cell.
+inline RepeatedRunStats run_cell(const ProcessFactory& factory,
+                                 const AdversaryFactory& adversaries,
+                                 RepeatSpec spec, const std::string& tag) {
+  return run_checkpointed_cell(
+      std::move(spec), factory.name(), tag, [&](const RepeatSpec& s) {
+        return run_repeated(factory, adversaries, s);
+      });
 }
 
 // ------------------------------------------------------------ experiments

@@ -1,25 +1,13 @@
 // Deterministic thread-pooled batch execution for the asynchronous engine.
 //
-// The exact design of exec/executor.hpp applied to async runs, with the
-// same three rules that make statistics bit-identical to the serial run at
-// any thread count:
-//
-//  1. Static seed-indexed schedule: rep k derives its inputs, scheduler,
-//     delay model, and coin seed from per-rep streams of the master seed
-//     (schema 2 plus the async delay stream — exec/async_batch.hpp), so
-//     scheduling cannot change what a rep computes. Worker w owns reps
-//     {k : k mod threads == w}.
-//  2. Per-worker engine state: each rep builds its own processes, scheduler,
-//     and delay model — nothing is shared between concurrent reps except
-//     the read-only spec (and fault timetable, if any).
-//  3. Rep-order aggregation: workers fill disjoint outcome slots; after the
-//     join the results fold serially in rep order, reproducing the serial
-//     run's floating-point sequence.
-//
-// Observers compose identically too: serial batches fire the configured
-// observer live; parallel batches buffer each rep's callbacks in a private
-// obs::TraceRecorder and replay them in rep order during the fold, so
-// traces written through the observer are byte-identical to a 1-thread run.
+// The async rep body of the one batch loop (exec/run_batch.hpp) that also
+// drives exec::BatchExecutor; exec/executor.hpp documents the shared
+// contract. Repetition k derives its inputs, scheduler, delay model, and
+// coin seed from per-rep streams of the master seed (schema 2 plus the
+// async delay stream — exec/async_batch.hpp) and builds its own processes,
+// scheduler, and delay model, so nothing is shared between concurrent reps
+// except the read-only spec (and fault timetable, if any). Statistics and
+// observer streams are byte-identical to a 1-thread run.
 #pragma once
 
 #include "exec/async_batch.hpp"

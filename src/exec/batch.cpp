@@ -1,5 +1,6 @@
 #include "exec/batch.hpp"
 
+#include <array>
 #include <utility>
 
 #include "common/check.hpp"
@@ -88,11 +89,22 @@ obs::JsonValue RepFailure::to_json() const {
 }
 
 namespace {
+
 std::string rep_error_message(std::size_t rep, std::uint64_t seed,
                               const std::string& what) {
   return "rep " + std::to_string(rep) + " (engine seed " +
          std::to_string(seed) + ") failed: " + what;
 }
+
+constexpr std::array<const char*, 6> kCounters = {
+    "reps",           "agreement_failures", "validity_failures",
+    "non_terminated", "decided_one",        "reps_quarantined"};
+
+constexpr std::array<const char*, 8> kSyncSummaries = {
+    "rounds_to_decision", "rounds_to_halt",   "crashes_used",
+    "messages_delivered", "omissions_used",   "messages_omitted",
+    "corruptions_used",   "messages_corrupted"};
+
 }  // namespace
 
 RepError::RepError(std::size_t rep, std::uint64_t seed,
@@ -101,35 +113,104 @@ RepError::RepError(std::size_t rep, std::uint64_t seed,
       rep_(rep),
       seed_(seed) {}
 
-RepeatedRunStats::RepeatedRunStats() {
-  // Pre-register everything the accessors expose so a zero-rep aggregate
-  // still reads back as zeros instead of "unknown metric".
-  metrics_.summary("rounds_to_decision");
-  metrics_.summary("rounds_to_halt");
-  metrics_.summary("crashes_used");
-  metrics_.summary("messages_delivered");
-  metrics_.summary("omissions_used");
-  metrics_.summary("messages_omitted");
-  metrics_.summary("corruptions_used");
-  metrics_.summary("messages_corrupted");
-  metrics_.counter("reps");
-  metrics_.counter("agreement_failures");
-  metrics_.counter("validity_failures");
-  metrics_.counter("non_terminated");
-  metrics_.counter("decided_one");
-  metrics_.counter("reps_quarantined");
+BatchStats::BatchStats(const char* label,
+                       std::span<const char* const> summaries)
+    : label_(label), summaries_(summaries) {
+  for (const char* name : summaries_) metrics_.summary(name);
+  for (const char* name : kCounters) metrics_.counter(name);
 }
 
-void RepeatedRunStats::note_quarantined(RepFailure failure) {
+void BatchStats::note_quarantined(RepFailure failure) {
   metrics_.counter("reps_quarantined").inc();
   failures_.push_back(std::move(failure));
 }
 
-void RepeatedRunStats::add(const RunSummary& rep) {
+void BatchStats::count_rep(bool terminated, bool disagreed, bool valid,
+                           bool one) {
   metrics_.counter("reps").inc();
-  if (!rep.terminated) {
-    metrics_.counter("non_terminated").inc();
-  } else {
+  if (!terminated) metrics_.counter("non_terminated").inc();
+  if (disagreed) metrics_.counter("agreement_failures").inc();
+  if (!valid) metrics_.counter("validity_failures").inc();
+  if (one) metrics_.counter("decided_one").inc();
+}
+
+std::size_t BatchStats::reps() const {
+  return metrics_.counter_at("reps").value();
+}
+std::size_t BatchStats::agreement_failures() const {
+  return metrics_.counter_at("agreement_failures").value();
+}
+std::size_t BatchStats::validity_failures() const {
+  return metrics_.counter_at("validity_failures").value();
+}
+std::size_t BatchStats::non_terminated() const {
+  return metrics_.counter_at("non_terminated").value();
+}
+std::size_t BatchStats::decided_one() const {
+  return metrics_.counter_at("decided_one").value();
+}
+std::size_t BatchStats::reps_quarantined() const {
+  return metrics_.counter_at("reps_quarantined").value();
+}
+
+obs::JsonValue BatchStats::checkpoint_json() const {
+  obs::JsonValue failures = obs::JsonValue::array();
+  for (const RepFailure& f : failures_) failures.push(f.to_json());
+  return obs::JsonValue::object()
+      .set("stats", obs::registry_snapshot(metrics_))
+      .set("failures", std::move(failures));
+}
+
+void BatchStats::restore(const obs::JsonValue& payload) {
+  const std::string label = label_;
+  SYNRAN_REQUIRE(payload.is_object(),
+                 label + " checkpoint payload must be an object");
+  const obs::JsonValue* stats = payload.find("stats");
+  const obs::JsonValue* failures = payload.find("failures");
+  SYNRAN_REQUIRE(stats != nullptr && failures != nullptr &&
+                     failures->is_array(),
+                 label + " checkpoint payload needs 'stats' and 'failures'");
+
+  metrics_ = obs::registry_restore(*stats);
+  // Every accessor the harnesses read must resolve; a snapshot that lost a
+  // pre-registered metric is a foreign or corrupt payload (e.g. a sync
+  // cell's snapshot served to an async sweep).
+  for (const char* name : summaries_) {
+    SYNRAN_REQUIRE(metrics_.has_summary(name),
+                   label + " checkpoint missing summary: " + name);
+  }
+  for (const char* name : kCounters) {
+    SYNRAN_REQUIRE(metrics_.has_counter(name),
+                   label + " checkpoint missing counter: " + name);
+  }
+
+  failures_.clear();
+  for (const obs::JsonValue& entry : failures->as_array()) {
+    const obs::JsonValue* rep = entry.find("rep");
+    const obs::JsonValue* seed = entry.find("seed");
+    const obs::JsonValue* attempts = entry.find("attempts");
+    const obs::JsonValue* error = entry.find("error");
+    SYNRAN_REQUIRE(rep != nullptr && rep->is_int() && rep->as_int() >= 0 &&
+                       seed != nullptr && seed->is_int() &&
+                       attempts != nullptr && attempts->is_int() &&
+                       attempts->as_int() >= 1 && error != nullptr &&
+                       error->is_string(),
+                   label + " checkpoint failure entry malformed");
+    failures_.push_back(RepFailure{
+        static_cast<std::size_t>(rep->as_int()),
+        static_cast<std::uint64_t>(seed->as_int()),
+        static_cast<std::uint32_t>(attempts->as_int()), error->as_string()});
+  }
+  SYNRAN_REQUIRE(failures_.size() == reps_quarantined(),
+                 label + " checkpoint failure list disagrees with counter");
+}
+
+RepeatedRunStats::RepeatedRunStats() : BatchStats("stats", kSyncSummaries) {}
+
+void RepeatedRunStats::add(const RunSummary& rep) {
+  count_rep(rep.terminated, rep.has_decision && !rep.agreement, rep.validity,
+            rep.agreement && rep.decision == Bit::One);
+  if (rep.terminated) {
     metrics_.summary("rounds_to_decision")
         .add(static_cast<double>(rep.rounds_to_decision));
     metrics_.summary("rounds_to_halt")
@@ -146,11 +227,6 @@ void RepeatedRunStats::add(const RunSummary& rep) {
       .add(static_cast<double>(rep.corruptions_total));
   metrics_.summary("messages_corrupted")
       .add(static_cast<double>(rep.messages_corrupted));
-  if (rep.has_decision && !rep.agreement)
-    metrics_.counter("agreement_failures").inc();
-  if (!rep.validity) metrics_.counter("validity_failures").inc();
-  if (rep.agreement && rep.decision == Bit::One)
-    metrics_.counter("decided_one").inc();
 }
 
 const Summary& RepeatedRunStats::rounds_to_decision() const {
@@ -177,79 +253,11 @@ const Summary& RepeatedRunStats::corruptions_used() const {
 const Summary& RepeatedRunStats::messages_corrupted() const {
   return metrics_.summary_at("messages_corrupted");
 }
-std::size_t RepeatedRunStats::reps() const {
-  return metrics_.counter_at("reps").value();
-}
-std::size_t RepeatedRunStats::agreement_failures() const {
-  return metrics_.counter_at("agreement_failures").value();
-}
-std::size_t RepeatedRunStats::validity_failures() const {
-  return metrics_.counter_at("validity_failures").value();
-}
-std::size_t RepeatedRunStats::non_terminated() const {
-  return metrics_.counter_at("non_terminated").value();
-}
-std::size_t RepeatedRunStats::decided_one() const {
-  return metrics_.counter_at("decided_one").value();
-}
-std::size_t RepeatedRunStats::reps_quarantined() const {
-  return metrics_.counter_at("reps_quarantined").value();
-}
-
-obs::JsonValue RepeatedRunStats::checkpoint_json() const {
-  obs::JsonValue failures = obs::JsonValue::array();
-  for (const RepFailure& f : failures_) failures.push(f.to_json());
-  return obs::JsonValue::object()
-      .set("stats", obs::registry_snapshot(metrics_))
-      .set("failures", std::move(failures));
-}
 
 RepeatedRunStats RepeatedRunStats::from_checkpoint(
     const obs::JsonValue& payload) {
-  SYNRAN_REQUIRE(payload.is_object(),
-                 "stats checkpoint payload must be an object");
-  const obs::JsonValue* stats = payload.find("stats");
-  const obs::JsonValue* failures = payload.find("failures");
-  SYNRAN_REQUIRE(stats != nullptr && failures != nullptr &&
-                     failures->is_array(),
-                 "stats checkpoint payload needs 'stats' and 'failures'");
-
   RepeatedRunStats restored;
-  restored.metrics_ = obs::registry_restore(*stats);
-  // Every accessor the harnesses read must resolve; a snapshot that lost a
-  // pre-registered metric is a foreign or corrupt payload.
-  for (const char* name :
-       {"rounds_to_decision", "rounds_to_halt", "crashes_used",
-        "messages_delivered", "omissions_used", "messages_omitted",
-        "corruptions_used", "messages_corrupted"}) {
-    SYNRAN_REQUIRE(restored.metrics_.has_summary(name),
-                   std::string("stats checkpoint missing summary: ") + name);
-  }
-  for (const char* name :
-       {"reps", "agreement_failures", "validity_failures", "non_terminated",
-        "decided_one", "reps_quarantined"}) {
-    SYNRAN_REQUIRE(restored.metrics_.has_counter(name),
-                   std::string("stats checkpoint missing counter: ") + name);
-  }
-
-  for (const obs::JsonValue& entry : failures->as_array()) {
-    const obs::JsonValue* rep = entry.find("rep");
-    const obs::JsonValue* seed = entry.find("seed");
-    const obs::JsonValue* attempts = entry.find("attempts");
-    const obs::JsonValue* error = entry.find("error");
-    SYNRAN_REQUIRE(rep != nullptr && rep->is_int() && rep->as_int() >= 0 &&
-                       seed != nullptr && seed->is_int() &&
-                       attempts != nullptr && attempts->is_int() &&
-                       attempts->as_int() >= 1 && error != nullptr &&
-                       error->is_string(),
-                   "stats checkpoint failure entry malformed");
-    restored.failures_.push_back(RepFailure{
-        static_cast<std::size_t>(rep->as_int()),
-        static_cast<std::uint64_t>(seed->as_int()),
-        static_cast<std::uint32_t>(attempts->as_int()), error->as_string()});
-  }
-  SYNRAN_REQUIRE(restored.failures_.size() == restored.reps_quarantined(),
-                 "stats checkpoint failure list disagrees with counter");
+  restored.restore(payload);
   return restored;
 }
 
@@ -275,7 +283,7 @@ std::string spec_cell_key(const RepeatSpec& spec, std::string_view protocol,
   key += ";strict=" + std::to_string(spec.engine.strict_decision_audit ? 1 : 0);
   key += ";policy=";
   key += to_string(spec.policy);
-  key += ";retries=" + std::to_string(spec.engine.max_rep_retries);
+  key += ";retries=" + std::to_string(spec.max_rep_retries);
   key += ";seed_schema=" + std::to_string(kSeedSchemaVersion);
   return key;
 }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -83,7 +84,7 @@ using AdversaryFactory =
 AdversaryFactory no_adversary_factory();
 
 /// What the executor does with a repetition that still throws after its
-/// retry budget (EngineOptions::max_rep_retries) is spent.
+/// retry budget (RepeatSpec::max_rep_retries) is spent.
 enum class FailurePolicy : std::uint8_t {
   /// Abort the whole batch: the earliest failing rep's exception is
   /// rethrown as a RepError naming the rep and its engine seed.
@@ -124,49 +125,21 @@ class RepError : public std::runtime_error {
   std::uint64_t seed_ = 0;
 };
 
-/// Aggregates over repeated executions, backed by a metrics registry so the
-/// whole batch serializes to JSON in one call (metrics().to_json()). The
-/// named accessors are thin adapters over the registry entries; anything a
-/// new experiment wants to track rides along in the same registry without
-/// touching this struct again.
+/// The aggregate both batch models share, backed by a metrics registry so
+/// the whole batch serializes to JSON in one call (metrics().to_json()):
+/// the six verdict counters, the quarantine list, and the exact checkpoint
+/// payload with its checked restore. RepeatedRunStats and AsyncRunStats
+/// (exec/async_batch.hpp) add their own summaries and add(); anything a new
+/// experiment wants to track rides along in the same registry.
 ///
-/// Registry contents:
-///   summaries  rounds_to_decision, rounds_to_halt (terminated reps only),
-///              crashes_used, messages_delivered, omissions_used,
-///              messages_omitted, corruptions_used, messages_corrupted
-///              (all reps)
-///   counters   reps, agreement_failures, validity_failures,
-///              non_terminated, decided_one, reps_quarantined
-class RepeatedRunStats {
+/// Registry counters: reps, agreement_failures, validity_failures,
+/// non_terminated, decided_one, reps_quarantined.
+class BatchStats {
  public:
-  RepeatedRunStats();
-
-  /// Folds one repetition's summary into the aggregate. The registry's
-  /// floating-point state depends on fold order; callers that must match the
-  /// serial run fold in rep order.
-  void add(const RunSummary& rep);
-
   /// Records a quarantined repetition (executor-only in practice): bumps
   /// the reps_quarantined counter and keeps the structured failure.
   /// Quarantined reps contribute to no summary.
   void note_quarantined(RepFailure failure);
-
-  /// Expected rounds to decision across terminated reps.
-  const Summary& rounds_to_decision() const;
-  const Summary& rounds_to_halt() const;
-  /// Adversary crash spend per rep (all reps).
-  const Summary& crashes_used() const;
-  /// Point-to-point deliveries per rep (communication complexity).
-  const Summary& messages_delivered() const;
-  /// Omission directives spent per rep (all zero under fail-stop defaults).
-  const Summary& omissions_used() const;
-  /// Links actually suppressed by omissions per rep.
-  const Summary& messages_omitted() const;
-  /// Corruption directives spent per rep (all zero under fail-stop
-  /// defaults).
-  const Summary& corruptions_used() const;
-  /// Links actually forged by corruptions per rep.
-  const Summary& messages_corrupted() const;
 
   std::size_t reps() const;
   std::size_t agreement_failures() const;
@@ -187,21 +160,70 @@ class RepeatedRunStats {
   }
 
   /// Exact checkpoint payload: {"stats":<registry snapshot with raw
-  /// Welford state>,"failures":[...]} — see obs/checkpoint.hpp. A stats
-  /// object rebuilt via from_checkpoint() serializes and behaves
+  /// Welford state>,"failures":[...]} — see obs/checkpoint.hpp. An
+  /// aggregate rebuilt via its from_checkpoint() serializes and behaves
   /// identically to the original.
   obs::JsonValue checkpoint_json() const;
-
-  /// Inverse of checkpoint_json(). Throws ArgumentError when the payload
-  /// is malformed or missing a pre-registered metric.
-  static RepeatedRunStats from_checkpoint(const obs::JsonValue& payload);
 
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
- private:
+ protected:
+  /// Pre-registers the counters and the subclass's `summaries` (a static
+  /// list) so a zero-rep aggregate still reads back as zeros instead of
+  /// "unknown metric". `label` opens every restore error message.
+  BatchStats(const char* label, std::span<const char* const> summaries);
+
+  /// Counts one folded repetition's verdicts.
+  void count_rep(bool terminated, bool disagreed, bool valid, bool one);
+
+  /// Replaces the registry and quarantine list with a checkpoint_json()
+  /// payload. Throws ArgumentError when the payload is malformed or is
+  /// missing a pre-registered metric.
+  void restore(const obs::JsonValue& payload);
+
   obs::MetricsRegistry metrics_;
+
+ private:
+  const char* label_;
+  std::span<const char* const> summaries_;
   std::vector<RepFailure> failures_;
+};
+
+/// Aggregates over repeated synchronous executions.
+///
+/// Registry summaries: rounds_to_decision, rounds_to_halt (terminated reps
+/// only), crashes_used, messages_delivered, omissions_used,
+/// messages_omitted, corruptions_used, messages_corrupted (all reps).
+class RepeatedRunStats : public BatchStats {
+ public:
+  RepeatedRunStats();
+
+  /// Folds one repetition's summary into the aggregate. The registry's
+  /// floating-point state depends on fold order; callers that must match the
+  /// serial run fold in rep order.
+  void add(const RunSummary& rep);
+
+  /// Expected rounds to decision across terminated reps.
+  const Summary& rounds_to_decision() const;
+  const Summary& rounds_to_halt() const;
+  /// Adversary crash spend per rep (all reps).
+  const Summary& crashes_used() const;
+  /// Point-to-point deliveries per rep (communication complexity).
+  const Summary& messages_delivered() const;
+  /// Omission directives spent per rep (all zero under fail-stop defaults).
+  const Summary& omissions_used() const;
+  /// Links actually suppressed by omissions per rep.
+  const Summary& messages_omitted() const;
+  /// Corruption directives spent per rep (all zero under fail-stop
+  /// defaults).
+  const Summary& corruptions_used() const;
+  /// Links actually forged by corruptions per rep.
+  const Summary& messages_corrupted() const;
+
+  /// Inverse of checkpoint_json(). Throws ArgumentError when the payload
+  /// is malformed or missing a pre-registered metric.
+  static RepeatedRunStats from_checkpoint(const obs::JsonValue& payload);
 };
 
 struct RepeatSpec {
@@ -216,6 +238,13 @@ struct RepeatSpec {
   unsigned threads = 0;
   /// What to do with a rep that throws after its retries are spent.
   FailurePolicy policy = FailurePolicy::FailFast;
+  /// How many times a repetition that throws is re-attempted with its
+  /// identical per-rep seeds before it counts as failed (0 = no retries).
+  /// Retrying with the same seeds preserves determinism — a rep either
+  /// produces its one canonical RunSummary or is quarantined/fails the
+  /// batch, depending on `policy`. The executor rejects 4294967295, whose
+  /// attempt count (retries + 1) would not fit in 32 bits.
+  std::uint32_t max_rep_retries = 0;
 };
 
 /// Fingerprint of everything a repeated batch's statistics depend on: the

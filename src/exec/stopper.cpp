@@ -1,26 +1,25 @@
 #include "exec/stopper.hpp"
 
+#include <atomic>
 #include <csignal>
 
 namespace synran::exec {
 
 namespace {
 
-// volatile sig_atomic_t is the only type the C++ standard guarantees a
-// signal handler may write. Worker threads poll it between reps; the read
-// is a data race in the strict memory-model sense when a real signal
-// lands mid-batch, but every platform this repo targets makes aligned
-// sig_atomic_t loads/stores indivisible, and the flag is monotonic
-// (0 -> 1), so the worst case is one extra rep before the stop is seen.
-volatile std::sig_atomic_t g_stop = 0;
-// Signals seen since the last clear. A plain increment is fine: the
-// handler is the only writer from signal context, polls only read, and
-// the serve drain logic needs "zero vs non-zero", not an exact count.
-volatile std::sig_atomic_t g_signals = 0;
+// Lock-free atomics are both signal-safe (C++17 [support.signal]) and
+// race-free between threads: the signal handler, the serve daemon's
+// deadline watchdog and a batch worker may each raise the flag while the
+// workers poll it. The flag is monotonic (0 -> 1) until clear_stop().
+static_assert(std::atomic<int>::is_always_lock_free);
+std::atomic<int> g_stop{0};
+// Signals seen since the last clear. The serve drain logic needs "zero vs
+// non-zero", not an exact count.
+std::atomic<int> g_signals{0};
 
 void on_stop_signal(int /*signum*/) {
-  g_signals = g_signals + 1;
-  g_stop = 1;
+  g_signals.fetch_add(1);
+  g_stop.store(1);
 }
 
 }  // namespace
@@ -32,20 +31,17 @@ void install_stop_handlers() {
   std::signal(SIGTERM, &on_stop_signal);
 }
 
-bool stop_requested() noexcept { return g_stop != 0; }
+bool stop_requested() noexcept { return g_stop.load() != 0; }
 
-void request_stop() noexcept { g_stop = 1; }
+void request_stop() noexcept { g_stop.store(1); }
 
-void note_signal_stop() noexcept {
-  g_signals = g_signals + 1;
-  g_stop = 1;
-}
+void note_signal_stop() noexcept { on_stop_signal(0); }
 
-int stop_signals() noexcept { return static_cast<int>(g_signals); }
+int stop_signals() noexcept { return g_signals.load(); }
 
 void clear_stop() noexcept {
-  g_stop = 0;
-  g_signals = 0;
+  g_stop.store(0);
+  g_signals.store(0);
 }
 
 }  // namespace synran::exec

@@ -3,8 +3,8 @@
 // This is the repo's one point of contact with POSIX signals (lint rule
 // `signals` bans signal handling everywhere else): entry points that run
 // long sweeps — the CLI and the bench harness — call
-// install_stop_handlers() once, and SIGINT/SIGTERM then latch a
-// sig_atomic_t flag instead of killing the process. The executor polls
+// install_stop_handlers() once, and SIGINT/SIGTERM then latch a lock-free
+// atomic flag instead of killing the process. The executor polls
 // stop_requested() between repetitions, finishes the reps already in
 // flight, and throws Interrupted; callers catch it, flush checkpoints and
 // partial artifacts, and exit with the distinct code 3 (see the exit-code

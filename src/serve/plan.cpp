@@ -204,7 +204,7 @@ RunPlan build_sync_plan(const JsonValue& config, unsigned threads) {
   plan.spec.threads = threads;
   plan.spec.engine.t_budget = t;
   plan.spec.engine.max_rounds = u32_at(config, "max_rounds");
-  plan.spec.engine.max_rep_retries = u32_at(config, "retries");
+  plan.spec.max_rep_retries = u32_at(config, "retries");
   plan.spec.policy = str_at(config, "fail_policy") == "quarantine"
                          ? FailurePolicy::Quarantine
                          : FailurePolicy::FailFast;
@@ -238,9 +238,33 @@ RunPlan build_async_plan(const JsonValue& config, unsigned threads) {
   return plan;
 }
 
-/// Pulls one named counter out of a restored aggregate's registry.
-std::int64_t counter(const obs::MetricsRegistry& metrics, const char* name) {
-  return static_cast<std::int64_t>(metrics.counter_at(name).value());
+/// The reply both models share, in the key order clients see. `model_mean`
+/// names the one summary that differs: rounds_to_halt for sync runs,
+/// ticks_to_decision for async ones. A batch with quarantined reps is not
+/// all safe (async requests cannot quarantine).
+template <typename Stats>
+JsonValue reply(const char* model, const Stats& stats, const char* model_mean,
+                const Summary& model_summary, const JsonValue& payload) {
+  const auto count = [](std::size_t v) {
+    return JsonValue(static_cast<std::int64_t>(v));
+  };
+  JsonValue result = JsonValue::object();
+  result.set("model", model);
+  result.set("reps", count(stats.reps()));
+  result.set("all_safe",
+             JsonValue(stats.all_safe() && stats.reps_quarantined() == 0));
+  result.set("decided_one", count(stats.decided_one()));
+  result.set("agreement_failures", count(stats.agreement_failures()));
+  result.set("validity_failures", count(stats.validity_failures()));
+  result.set("non_terminated", count(stats.non_terminated()));
+  result.set("reps_quarantined", count(stats.reps_quarantined()));
+  result.set("rounds_to_decision_mean",
+             JsonValue(stats.rounds_to_decision().mean()));
+  result.set(model_mean, JsonValue(model_summary.mean()));
+  result.set("messages_delivered_mean",
+             JsonValue(stats.messages_delivered().mean()));
+  result.set("checkpoint", payload);
+  return result;
 }
 
 }  // namespace
@@ -265,49 +289,14 @@ JsonValue execute_plan(const RunPlan& plan) {
 }
 
 JsonValue result_from_payload(bool is_async, const JsonValue& payload) {
-  JsonValue result = JsonValue::object();
   if (is_async) {
     const AsyncRunStats stats = AsyncRunStats::from_checkpoint(payload);
-    result.set("model", "async");
-    result.set("reps", JsonValue(static_cast<std::int64_t>(stats.reps())));
-    result.set("all_safe", JsonValue(stats.all_safe()));
-    result.set("decided_one", counter(stats.metrics(), "decided_one"));
-    result.set("agreement_failures",
-               counter(stats.metrics(), "agreement_failures"));
-    result.set("validity_failures",
-               counter(stats.metrics(), "validity_failures"));
-    result.set("non_terminated", counter(stats.metrics(), "non_terminated"));
-    result.set("reps_quarantined",
-               counter(stats.metrics(), "reps_quarantined"));
-    result.set("rounds_to_decision_mean",
-               JsonValue(stats.rounds_to_decision().mean()));
-    result.set("ticks_to_decision_mean",
-               JsonValue(stats.ticks_to_decision().mean()));
-    result.set("messages_delivered_mean",
-               JsonValue(stats.messages_delivered().mean()));
-  } else {
-    const RepeatedRunStats stats = RepeatedRunStats::from_checkpoint(payload);
-    result.set("model", "sync");
-    result.set("reps", JsonValue(static_cast<std::int64_t>(stats.reps())));
-    result.set("all_safe",
-               JsonValue(stats.all_safe() && stats.reps_quarantined() == 0));
-    result.set("decided_one", counter(stats.metrics(), "decided_one"));
-    result.set("agreement_failures",
-               counter(stats.metrics(), "agreement_failures"));
-    result.set("validity_failures",
-               counter(stats.metrics(), "validity_failures"));
-    result.set("non_terminated", counter(stats.metrics(), "non_terminated"));
-    result.set("reps_quarantined",
-               counter(stats.metrics(), "reps_quarantined"));
-    result.set("rounds_to_decision_mean",
-               JsonValue(stats.rounds_to_decision().mean()));
-    result.set("rounds_to_halt_mean",
-               JsonValue(stats.rounds_to_halt().mean()));
-    result.set("messages_delivered_mean",
-               JsonValue(stats.messages_delivered().mean()));
+    return reply("async", stats, "ticks_to_decision_mean",
+                 stats.ticks_to_decision(), payload);
   }
-  result.set("checkpoint", payload);
-  return result;
+  const RepeatedRunStats stats = RepeatedRunStats::from_checkpoint(payload);
+  return reply("sync", stats, "rounds_to_halt_mean", stats.rounds_to_halt(),
+               payload);
 }
 
 }  // namespace synran::serve

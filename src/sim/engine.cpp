@@ -234,18 +234,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
   }
 
   if (full != nullptr) {
-    full->rounds_to_decision = sum.rounds_to_decision;
-    full->rounds_to_halt = sum.rounds_to_halt;
-    full->terminated = sum.terminated;
-    full->agreement = sum.agreement;
-    full->has_decision = sum.has_decision;
-    full->decision = sum.decision;
-    full->crashes_total = sum.crashes_total;
-    full->messages_delivered = sum.messages_delivered;
-    full->omissions_total = sum.omissions_total;
-    full->messages_omitted = sum.messages_omitted;
-    full->corruptions_total = sum.corruptions_total;
-    full->messages_corrupted = sum.messages_corrupted;
+    static_cast<RunSummary&>(*full) = sum;
     full->crashes_per_round = ws_.crashes_per_round_;
     full->crashed.assign(n, false);
     full->decided.assign(n, false);

@@ -50,13 +50,6 @@ struct EngineOptions {
   std::uint32_t max_rounds = 100000;
   /// Master seed; every process stream derives from it.
   std::uint64_t seed = 1;
-  /// Consumed by the batch executor, not the engine: how many times a
-  /// repetition that throws is re-attempted with its identical per-rep
-  /// seeds before it counts as failed (0 = no retries). Retrying with the
-  /// same seeds preserves determinism — a rep either produces its one
-  /// canonical RunSummary or is quarantined/fails the batch, depending on
-  /// RepeatSpec::policy.
-  std::uint32_t max_rep_retries = 0;
   /// Audit decisions as latching (see RunAuditor::set_strict_decisions).
   /// Leave off for SynRan-family protocols, which rescind until STOP.
   bool strict_decision_audit = false;
@@ -66,30 +59,10 @@ struct EngineOptions {
   obs::EngineObserver* observer = nullptr;
 };
 
-/// Outcome of one execution.
-struct RunResult {
-  /// First round by whose end every non-crashed process had decided;
-  /// 0 if that never happened (see `terminated`).
-  std::uint32_t rounds_to_decision = 0;
-  /// Round by whose end every non-crashed process had halted.
-  std::uint32_t rounds_to_halt = 0;
-  bool terminated = false;  ///< all survivors decided within max_rounds
-
-  bool agreement = false;       ///< all survivor decisions equal
-  bool has_decision = false;    ///< at least one survivor decided
-  Bit decision = Bit::Zero;     ///< the common value when agreement holds
-
-  std::uint32_t crashes_total = 0;
+/// Outcome of one execution: the summary plus the per-round crash counts
+/// and the final per-process status.
+struct RunResult : RunSummary {
   std::vector<std::uint32_t> crashes_per_round;
-  /// Total point-to-point deliveries (communication complexity; a broadcast
-  /// to k receivers counts k).
-  std::uint64_t messages_delivered = 0;
-  /// Omission directives spent / links suppressed (see RunSummary).
-  std::uint32_t omissions_total = 0;
-  std::uint64_t messages_omitted = 0;
-  /// Corruption directives spent / links forged (see RunSummary).
-  std::uint32_t corruptions_total = 0;
-  std::uint64_t messages_corrupted = 0;
 
   /// Final per-process status (survivors only meaningful).
   std::vector<bool> crashed;

@@ -1,12 +1,14 @@
 // Tests for the async batch executor and the event-driven engine's fault
 // machinery: serial/parallel metrics equivalence (the async mirror of the
 // ExecEquivalence suite), byte-identical observer streams at any thread
-// count, structured scheduler-violation errors, fault-timetable injection,
+// count, retries, stop handling and argument checks through the executor,
+// structured scheduler-violation errors, fault-timetable injection,
 // partial synchrony, retransmission recovery, and golden-pinned decision
 // stats for the fixed-delay configuration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +19,8 @@
 #include "async/core.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "exec/async_executor.hpp"
+#include "exec/stopper.hpp"
 #include "obs/trace_writer.hpp"
 #include "runner/experiment.hpp"
 
@@ -214,6 +218,104 @@ TEST(AsyncExecFailures, QuarantineKeepsGoing) {
   for (std::size_t i = 0; i < stats.failures().size(); ++i) {
     EXPECT_EQ(stats.failures()[i].rep, i);  // rep-order fold
   }
+}
+
+// --------------------------------------- retries, stop and arguments
+
+TEST(AsyncExecQuarantine, RetryReRunsTheIdenticalSeedAndCanSucceed) {
+  // Rep 2's scheduler factory throws once, then succeeds: with one retry
+  // allowed the batch converges to the clean result bit for bit, because
+  // the retry re-derives the same per-rep streams from (master seed, rep).
+  const BenOrAsyncFactory factory;
+  const AsyncSchedulerFactory random = random_scheduler_factory();
+  for (unsigned threads : {1u, 4u}) {
+    AsyncRepeatSpec spec = base_spec(808, threads);
+    spec.max_rep_retries = 1;
+    const std::string clean =
+        run_repeated_async(factory, random, fixed_delay_factory(2), spec)
+            .metrics()
+            .to_json()
+            .dump();
+    // Only the worker running rep 2 ever touches `throws_left`.
+    const std::uint64_t bad = adversary_seed_for_rep(spec.seed, 2);
+    int throws_left = 1;
+    const AsyncSchedulerFactory flaky =
+        [&](std::uint64_t seed) -> std::unique_ptr<AsyncScheduler> {
+      if (seed == bad && throws_left > 0) {
+        --throws_left;
+        throw std::runtime_error("injected fault");
+      }
+      return random(seed);
+    };
+    const AsyncRunStats stats =
+        run_repeated_async(factory, flaky, fixed_delay_factory(2), spec);
+    EXPECT_EQ(throws_left, 0) << threads << " threads";
+    EXPECT_EQ(stats.reps_quarantined(), 0u) << threads << " threads";
+    EXPECT_EQ(stats.metrics().to_json().dump(), clean)
+        << threads << " threads";
+  }
+}
+
+/// Clears the process-wide stop flag on entry and exit so a failing test
+/// cannot leak a pending stop into later tests.
+struct StopFlagGuard {
+  StopFlagGuard() { exec::clear_stop(); }
+  ~StopFlagGuard() { exec::clear_stop(); }
+};
+
+TEST(AsyncExecStop, PendingStopInterruptsBatch) {
+  StopFlagGuard guard;
+  const BenOrAsyncFactory factory;
+  for (unsigned threads : {1u, 4u}) {
+    exec::request_stop();
+    const AsyncRepeatSpec spec = base_spec(78, threads);
+    try {
+      run_repeated_async(factory, random_scheduler_factory(),
+                         held_delay_factory(), spec);
+      ADD_FAILURE() << "expected exec::Interrupted at " << threads
+                    << " threads";
+    } catch (const exec::Interrupted& e) {
+      // Every worker checks the flag before its first rep.
+      EXPECT_NE(std::string(e.what()).find("after 0 of 12"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  exec::clear_stop();
+  EXPECT_EQ(run_repeated_async(factory, random_scheduler_factory(),
+                               held_delay_factory(), base_spec(78, 4))
+                .reps(),
+            12u);
+}
+
+TEST(AsyncExecErrors, RejectsZeroReps) {
+  const BenOrAsyncFactory factory;
+  AsyncRepeatSpec spec = base_spec(1, 1);
+  spec.reps = 0;
+  EXPECT_THROW(exec::AsyncBatchExecutor().run(factory,
+                                              random_scheduler_factory(),
+                                              held_delay_factory(), spec),
+               ArgumentError);
+}
+
+TEST(AsyncExecErrors, RejectsARetryBudgetWhoseAttemptsOverflow) {
+  // max_rep_retries + 1 attempts must fit in 32 bits; at 2^32 - 1 retries
+  // the count would wrap to 0 and quarantine every rep unrun.
+  const BenOrAsyncFactory factory;
+  int built = 0;
+  const AsyncSchedulerFactory counting = [&built](std::uint64_t) {
+    ++built;
+    return std::make_unique<FifoScheduler>();
+  };
+  for (unsigned threads : {1u, 4u}) {
+    AsyncRepeatSpec spec = base_spec(3, threads);
+    spec.policy = FailurePolicy::Quarantine;
+    spec.max_rep_retries = std::numeric_limits<std::uint32_t>::max();
+    EXPECT_THROW(exec::AsyncBatchExecutor().run(factory, counting,
+                                                held_delay_factory(), spec),
+                 ArgumentError);
+  }
+  EXPECT_EQ(built, 0);  // rejected before any rep ran
 }
 
 // --------------------------------------------- scheduler drop validation

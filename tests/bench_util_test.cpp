@@ -228,6 +228,23 @@ TEST(ResilienceBench, EnvOverridesPolicyAndRetries) {
     ScopedEnv policy("SYNRAN_FAIL_POLICY", "quarentine");
     EXPECT_THROW(bench_fail_policy(), ArgumentError);
   }
+  {
+    ScopedEnv retries("SYNRAN_REP_RETRIES", "");
+    EXPECT_EQ(bench_rep_retries(3), 3u);  // empty means unset
+  }
+  // Retries parse as strictly: a sign, trailing text or an overflow throws
+  // instead of guessing.
+  for (const char* bad : {"-1", "8x", "4294967296"}) {
+    ScopedEnv retries("SYNRAN_REP_RETRIES", bad);
+    try {
+      bench_rep_retries();
+      ADD_FAILURE() << "accepted SYNRAN_REP_RETRIES='" << bad << "'";
+    } catch (const ArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("SYNRAN_REP_RETRIES"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ResilienceBench, PartialAndFailuresRideAlongInTheReport) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -208,10 +210,18 @@ TEST(ExecSeedSchema, RepStreamsAreIndependentOfBatchSize) {
 // ------------------------------------------------------- thread resolution
 
 TEST(ExecThreads, ResolveExplicitEnvAndDefault) {
+  // Restore the caller's SYNRAN_THREADS afterwards: later tests in this
+  // process (and the TSan job, which sets it) rely on it.
+  const char* caller = std::getenv("SYNRAN_THREADS");
+  const std::optional<std::string> saved =
+      caller != nullptr ? std::optional<std::string>(caller) : std::nullopt;
+
   ::unsetenv("SYNRAN_THREADS");
   EXPECT_EQ(exec::resolve_threads(4), 4u);
   EXPECT_EQ(exec::resolve_threads(1), 1u);
   EXPECT_EQ(exec::resolve_threads(0), 1u);  // no env: serial default
+  ::setenv("SYNRAN_THREADS", "", 1);
+  EXPECT_EQ(exec::resolve_threads(0), 1u);  // empty means unset
 
   ::setenv("SYNRAN_THREADS", "6", 1);
   EXPECT_EQ(exec::resolve_threads(0), 6u);
@@ -219,7 +229,27 @@ TEST(ExecThreads, ResolveExplicitEnvAndDefault) {
 
   ::setenv("SYNRAN_THREADS", "0", 1);
   EXPECT_EQ(exec::resolve_threads(0), 1u);  // clamped to >= 1
-  ::unsetenv("SYNRAN_THREADS");
+
+  // Only digits within 32 bits count: a sign, trailing text or an
+  // overflow is an error naming the variable, never a silent guess (read
+  // loosely, "-1" would ask for 2^32 - 1 workers).
+  for (const char* bad : {"-1", "8x", "4294967296", " 8"}) {
+    ::setenv("SYNRAN_THREADS", bad, 1);
+    try {
+      exec::resolve_threads(0);
+      ADD_FAILURE() << "accepted SYNRAN_THREADS='" << bad << "'";
+    } catch (const ArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("SYNRAN_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(exec::resolve_threads(3), 3u);  // an explicit count never reads it
+
+  if (saved.has_value())
+    ::setenv("SYNRAN_THREADS", saved->c_str(), 1);
+  else
+    ::unsetenv("SYNRAN_THREADS");
 }
 
 TEST(ExecThreads, SpecOverridesExecutorOptions) {
@@ -459,7 +489,7 @@ TEST(ExecQuarantine, RetryReRunsTheIdenticalSeedAndCanSucceed) {
   // retry allowed the batch must converge to the clean result bit for bit,
   // because the retry re-derives the same (input, adversary, engine)
   // streams from (master seed, rep).
-  spec.engine.max_rep_retries = 1;
+  spec.max_rep_retries = 1;
   FaultInjector inject{spec, {}};
   const auto stats =
       run_repeated(protocol, inject.factory({2}, /*fail_times=*/1), spec);
@@ -472,7 +502,7 @@ TEST(ExecQuarantine, AttemptsCountRetriesBeforeGivingUp) {
   RepeatSpec spec = base_spec(InputPattern::Half, 909);
   spec.reps = 4;
   spec.policy = FailurePolicy::Quarantine;
-  spec.engine.max_rep_retries = 2;
+  spec.max_rep_retries = 2;
   FaultInjector inject{spec, {}};
   const auto stats = run_repeated(protocol, inject.factory({1}), spec);
   ASSERT_EQ(stats.failures().size(), 1u);
@@ -483,7 +513,7 @@ TEST(ExecQuarantine, FailFastStillThrowsDespiteRetries) {
   SynRanFactory protocol;
   RepeatSpec spec = base_spec(InputPattern::Half, 1010);
   spec.reps = 4;
-  spec.engine.max_rep_retries = 1;
+  spec.max_rep_retries = 1;
   FaultInjector inject{spec, {}};
   EXPECT_THROW(run_repeated(protocol, inject.factory({1}), spec),
                RepError);
@@ -536,6 +566,9 @@ TEST(ExecStop, MidBatchStopFinishesInFlightRepThenThrows) {
   StopAfterObserver observer;
   observer.stop_after = 3;
   RepeatSpec spec = base_spec(InputPattern::Half, 79);
+  // Serial: a parallel batch replays observer callbacks only after the
+  // join, so its stop would land after every rep had run.
+  spec.threads = 1;
   spec.engine.observer = &observer;
   try {
     run_repeated(protocol, no_adversary_factory(), spec);
@@ -545,6 +578,32 @@ TEST(ExecStop, MidBatchStopFinishesInFlightRepThenThrows) {
     EXPECT_EQ(observer.runs, 3);
     EXPECT_NE(std::string(e.what()).find("3 of 6"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ExecStop, StopRaisedOnAWorkerInterruptsParallelBatch) {
+  // Rep 0's adversary factory raises the stop on worker 0's thread. Worker
+  // 0 finishes rep 0 and skips reps 2 and 4, so at most 4 of the 6 reps
+  // complete, however the other worker's reps interleave.
+  StopFlagGuard guard;
+  SynRanFactory protocol;
+  RepeatSpec spec = base_spec(InputPattern::Half, 81);
+  spec.threads = 2;
+  const std::uint64_t first = adversary_seed_for_rep(spec.seed, 0);
+  const AdversaryFactory stopping =
+      [first](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+    if (seed == first) exec::request_stop();
+    return std::make_unique<NoAdversary>();
+  };
+  try {
+    run_repeated(protocol, stopping, spec);
+    FAIL() << "expected exec::Interrupted";
+  } catch (const exec::Interrupted& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find("after ");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_LE(std::stoul(what.substr(at + 6)), 4u) << what;
+    EXPECT_NE(what.find(" of 6 "), std::string::npos) << what;
   }
 }
 
@@ -566,6 +625,30 @@ TEST(ExecErrors, RejectsZeroReps) {
   EXPECT_THROW(exec::BatchExecutor().run(protocol, no_adversary_factory(),
                                          spec),
                ArgumentError);
+}
+
+TEST(ExecErrors, RejectsARetryBudgetWhoseAttemptsOverflow) {
+  // max_rep_retries + 1 attempts must fit in 32 bits; at 2^32 - 1 retries
+  // the count would wrap to 0 and every rep would "fail" without running.
+  SynRanFactory protocol;
+  int built = 0;
+  const AdversaryFactory counting =
+      [&built](std::uint64_t) -> std::unique_ptr<Adversary> {
+    ++built;
+    return std::make_unique<NoAdversary>();
+  };
+  RepeatSpec spec = base_spec(InputPattern::Half, 2);
+  spec.policy = FailurePolicy::Quarantine;
+  spec.max_rep_retries = std::numeric_limits<std::uint32_t>::max();
+  for (unsigned threads : {1u, 4u}) {
+    spec.threads = threads;
+    EXPECT_THROW(run_repeated(protocol, counting, spec), ArgumentError);
+  }
+  EXPECT_EQ(built, 0);  // rejected before any rep ran
+
+  spec.max_rep_retries = std::numeric_limits<std::uint32_t>::max() - 1;
+  spec.threads = 1;
+  EXPECT_EQ(run_repeated(protocol, counting, spec).reps(), 6u);
 }
 
 // ------------------------------------------------------- workspace reuse

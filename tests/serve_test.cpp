@@ -465,6 +465,30 @@ TEST(Server, DeadlineExceededIsPerRequestNotPerDaemon) {
   EXPECT_EQ(server.cache().entries(), 0u);
 }
 
+TEST(Server, RetryBudgetOverflowIsARunFailureNotADaemonCrash) {
+  const std::string dir = temp_dir("srv_retry_overflow");
+  Server server(test_options(dir + "/cache"));
+  // 2^32 - 1 retries passes request validation, but its attempt count
+  // cannot fit in 32 bits. The executor rejects it before any rep runs,
+  // so the request gets a structured run_failed reply, nothing is cached,
+  // and the request queued behind it is still answered.
+  const std::string overflow =
+      R"({"schema":"synran-req/1","id":"wrap","cmd":"run","config":)"
+      R"({"model":"sync","n":8,"reps":4,"seed":11,)"
+      R"("fail_policy":"quarantine","retries":4294967295}})";
+  const auto result = serve_over_files(
+      server, dir,
+      {overflow, R"({"schema":"synran-req/1","id":"after","cmd":"ping"})"});
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.bodies.size(), 2u);
+
+  const JsonValue failed = parse_json(result.bodies[0]);
+  EXPECT_FALSE(failed.find("ok")->as_bool());
+  EXPECT_EQ(failed.find("error")->find("code")->as_string(), "run_failed");
+  EXPECT_TRUE(parse_json(result.bodies[1]).find("ok")->as_bool());
+  EXPECT_EQ(server.cache().entries(), 0u);
+}
+
 TEST(Server, DeadlineAppliesToAsyncBatchesToo) {
   const std::string dir = temp_dir("srv_deadline_async");
   Server server(test_options(dir + "/cache"));

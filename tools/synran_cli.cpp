@@ -474,7 +474,7 @@ int cmd_run(const Args& args) {
   spec.threads = static_cast<unsigned>(args.num("threads", 0));
   spec.engine.t_budget = t;
   spec.engine.max_rounds = args.num32("max-rounds", 100000);
-  spec.engine.max_rep_retries = args.num32("retries", 0);
+  spec.max_rep_retries = args.num32("retries", 0);
   spec.policy = policy;
   if (faults.enabled) {
     if (faults.byzantine)
