@@ -108,7 +108,6 @@ class AsyncCore final : public EventSource {
   void apply_scheduler_crash(const AsyncAction& action);
   void inject_crash(SimTime at, ProcessId victim);
   void inject_omission(SimTime at, const AsyncOmitAt& omit);
-  void note_round_progress();
   void flush_interval();
   void harvest();
 
@@ -133,6 +132,9 @@ class AsyncCore final : public EventSource {
   /// lockstep. Delivery removal is swap-remove — schedulers must not rely
   /// on stable pending order — exactly the step engine's semantics, which
   /// is what keeps the adversary-held configuration bit-compatible with it.
+  /// LaggardScheduler's resumable scan relies on this discipline: a
+  /// delivery swap-removes its index, crash removal compacts in order, and
+  /// sends append.
   std::vector<AsyncMessage> held_view_;
   std::vector<std::size_t> held_ids_;
 
@@ -187,7 +189,13 @@ void AsyncCore::pump(ProcessId p, AsyncOutbox& out) {
   const bool was_decided = views_[p].decided;
   views_[p] = procs_[p]->view();
   if (!was_decided && views_[p].decided) res_.decision_time = now();
-  note_round_progress();
+  // p is live (crashed processes are never activated), only its view
+  // changed, and every view was already <= cur_round_: p alone can raise
+  // the live processes' maximum round.
+  if (views_[p].round > cur_round_) {
+    flush_interval();
+    cur_round_ = views_[p].round;
+  }
 }
 
 void AsyncCore::deliver_activation(const AsyncMessage& msg) {
@@ -301,16 +309,6 @@ void AsyncCore::inject_omission(SimTime at, const AsyncOmitAt& omit) {
   res_.messages_omitted += dropped;
   ++interval_omissions_;
   interval_omitted_ += dropped;
-}
-
-void AsyncCore::note_round_progress() {
-  std::uint32_t live_max = 0;
-  for (ProcessId i = 0; i < n_; ++i)
-    if (!crashed_[i]) live_max = std::max(live_max, views_[i].round);
-  if (live_max > cur_round_) {
-    flush_interval();
-    cur_round_ = live_max;
-  }
 }
 
 void AsyncCore::flush_interval() {

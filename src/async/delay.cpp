@@ -14,7 +14,7 @@ UniformDelay::UniformDelay(SimTime lo, SimTime hi, std::uint64_t seed)
 
 LinkDelay UniformDelay::classify(const AsyncMessage& /*msg*/, SimTime now) {
   const SimTime jitter = lo_ + rng_.below(hi_ - lo_ + 1);
-  return LinkDelay{now + jitter, false, kNever};
+  return LinkDelay{time_after(now, jitter), false, kNever};
 }
 
 GstDelay::GstDelay(DelayModel& inner, SimTime gst, SimTime bound)
@@ -34,7 +34,7 @@ GstDelay::GstDelay(SimTime gst, SimTime bound)
 
 LinkDelay GstDelay::classify(const AsyncMessage& msg, SimTime now) {
   LinkDelay d = inner_->classify(msg, now);
-  const SimTime clamp = std::max(now, gst_) + bound_;
+  const SimTime clamp = time_after(std::max(now, gst_), bound_);
   if (d.held) {
     d.deadline = std::min(d.deadline, clamp);
   } else {

@@ -40,6 +40,8 @@ class DelayModel {
   virtual void begin(std::uint32_t /*n*/) {}
   /// Decides the fate of `msg` sent at `now`. Timed deliveries must not
   /// land in the past (deliver_at >= now); the engine enforces this.
+  /// Instants are `time_after(now, delay)`, which saturates at kNever - 1
+  /// instead of wrapping on a huge delay.
   virtual LinkDelay classify(const AsyncMessage& msg, SimTime now) = 0;
   virtual const char* name() const = 0;
 };
@@ -51,7 +53,7 @@ class FixedDelay final : public DelayModel {
  public:
   explicit FixedDelay(SimTime latency) : latency_(latency) {}
   LinkDelay classify(const AsyncMessage& /*msg*/, SimTime now) override {
-    return LinkDelay{now + latency_, false, kNever};
+    return LinkDelay{time_after(now, latency_), false, kNever};
   }
   const char* name() const override { return "fixed"; }
 
@@ -87,7 +89,9 @@ class AdversaryDelay final : public DelayModel {
 };
 
 /// Partial synchrony: wraps an inner model and clamps every delivery —
-/// timed or held — to max(send_time, gst) + bound. Before GST the inner
+/// timed or held — to max(send_time, gst) + bound, saturating at
+/// kNever - 1 (so a GST near the end of time is late, never "no deadline"
+/// and never wrapped into the past). Before GST the inner
 /// model (typically AdversaryDelay) rules; after GST every message is
 /// delivered within `bound` ticks, which is what makes timeout-based
 /// protocol logic sound.

@@ -2,13 +2,18 @@
 //
 // Everything the asynchronous engine does — message deliveries, timer
 // expiries, partial-synchrony deadline releases, injected faults — is an
-// event on one central time-ordered EventList (the htsim pattern: a single
-// heap of (time, source) pairs drives arbitrarily many event-source
+// event on one central time-ordered EventList (the htsim pattern: one
+// queue of (time, source) pairs drives arbitrarily many event-source
 // objects). Determinism is non-negotiable here, so ties are broken by a
 // monotone sequence number: two events scheduled for the same instant
-// dispatch in the order they were scheduled (FIFO), never in heap order.
+// dispatch in the order they were scheduled (FIFO), never in queue order.
+//
+// The queue is a calendar of per-instant FIFO buckets over the next
+// kWindow instants plus a (time, seq) heap for later ones, so the short
+// delays that carry almost all traffic cost O(1) per event.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -24,6 +29,13 @@ using SimTime = std::uint64_t;
 /// Sentinel: "no deadline" / "never". Not a schedulable instant.
 inline constexpr SimTime kNever = ~static_cast<SimTime>(0);
 
+/// `at + delay`, saturating at kNever - 1, the last schedulable instant.
+/// Every "after a delay" instant the engine and the delay models compute
+/// goes through this, so an enormous delay clamps instead of wrapping.
+constexpr SimTime time_after(SimTime at, SimTime delay) {
+  return delay >= kNever - at ? kNever - 1 : at + delay;
+}
+
 /// Something that reacts to scheduled events. One source may have any
 /// number of events outstanding; `tag` disambiguates them (the scheduling
 /// call passes it through verbatim).
@@ -33,17 +45,29 @@ class EventSource {
   virtual void do_next_event(SimTime now, std::uint64_t tag) = 0;
 };
 
-/// The central time-ordered event queue: a binary heap of
-/// (time, tiebreak-seq, source, tag). `run_next` pops the earliest entry,
-/// advances the clock to its time, and dispatches it. Equal-time entries
-/// dispatch in scheduling order — the seq is assigned monotonically at
-/// schedule time — so a run's event order is a pure function of the calls
-/// made against the list, independent of heap internals.
+/// The central time-ordered event queue. Entries dispatch in exact
+/// (time, seq) order, where seq is assigned monotonically at schedule time,
+/// so equal-time entries dispatch in scheduling order and a run's event
+/// order is a pure function of the calls made against the list.
+///
+/// Layout: a ring of kWindow FIFO buckets holds every entry whose instant
+/// lies in [now, now + kWindow), bucket `time mod kWindow`, with a bitmask
+/// of the non-empty ones; a (time, seq) min-heap holds the later entries.
+/// Each bucket holds a single instant, and appending keeps it in seq order.
+/// When run_next advances the clock it first migrates every heap entry the
+/// window now covers into its bucket, in (time, seq) order and before the
+/// new instant's first dispatch can schedule anything. A heap entry for
+/// instant T was scheduled before T entered the window, so its seq is below
+/// that of anything scheduled straight into T's bucket: the FIFO holds.
+///
+/// Window tests are offsets (`at - now < kWindow`), never `now + kWindow`,
+/// which wraps once time saturates at kNever - 1. The ring's slots past
+/// kNever - 1 correspond to no schedulable instant and stay empty.
 class EventList {
  public:
   SimTime now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return near_size_ + far_.size(); }
 
   /// Earliest scheduled instant. Requires a non-empty list.
   SimTime next_time() const;
@@ -63,11 +87,24 @@ class EventList {
   std::uint64_t dispatched() const { return dispatched_; }
 
  private:
+  /// Instants the bucket ring covers, from now on: every delay the
+  /// workloads use (uniform jitter, GST bounds, retransmit timers) fits.
+  /// One bit per bucket in a 64-bit occupancy mask.
+  static constexpr SimTime kWindow = 64;
+
+  struct Item {
+    EventSource* source = nullptr;
+    std::uint64_t tag = 0;
+  };
+  /// One instant's entries in seq order; `head` is the next to dispatch.
+  struct Bucket {
+    std::vector<Item> items;
+    std::size_t head = 0;
+  };
   struct Entry {
     SimTime time = 0;
     std::uint64_t seq = 0;
-    EventSource* source = nullptr;
-    std::uint64_t tag = 0;
+    Item item;
   };
   /// Max-heap comparator inverted into a min-heap on (time, seq).
   struct Later {
@@ -77,7 +114,15 @@ class EventList {
     }
   };
 
-  std::vector<Entry> heap_;
+  static std::size_t slot(SimTime t) {
+    return static_cast<std::size_t>(t % kWindow);
+  }
+  void push_near(SimTime at, const Item& item);
+
+  std::array<Bucket, kWindow> ring_;
+  std::uint64_t occupied_ = 0;  ///< bit slot(t) set iff bucket t non-empty
+  std::size_t near_size_ = 0;
+  std::vector<Entry> far_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

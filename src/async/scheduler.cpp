@@ -17,6 +17,7 @@ AsyncAction RandomScheduler::step(const AsyncWorld& world) {
 
 void LaggardScheduler::begin(std::uint32_t n, std::uint32_t t) {
   t_ = t;
+  scan_from_ = 0;
   lagging_.assign(n, false);
   // Lag a fixed set of up to t processes (rotating would also work; a fixed
   // set maximizes the starvation effect on waiting thresholds).
@@ -46,15 +47,22 @@ AsyncAction LaggardScheduler::step(const AsyncWorld& world) {
       act.victim = victim;
       for (std::size_t i = 0; i < pending.size(); ++i)
         if (pending[i].from == victim) act.drop.push_back(i);
+      scan_from_ = 0;  // the compaction shifts slots down
       return act;
     }
   }
 
   // Deliver non-laggard traffic first; laggard messages only when nothing
   // else remains (asynchrony lets the adversary delay them arbitrarily).
-  for (std::size_t i = 0; i < pending.size(); ++i)
-    if (!lagging_[pending[i].from])
+  // Slots below scan_from_ are known laggard (see the class comment).
+  SYNRAN_CHECK(scan_from_ <= pending.size());
+  for (std::size_t i = scan_from_; i < pending.size(); ++i) {
+    if (!lagging_[pending[i].from]) {
+      scan_from_ = i;
       return {AsyncAction::Kind::Deliver, i, 0, {}};
+    }
+  }
+  scan_from_ = pending.size() - 1;  // swap-removing slot 0 keeps all laggard
   return {AsyncAction::Kind::Deliver, 0, 0, {}};
 }
 

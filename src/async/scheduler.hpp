@@ -94,6 +94,19 @@ class RandomScheduler final : public AsyncScheduler {
 /// processes (delivering their traffic only when nothing else is pending)
 /// and, when a process is about to push the system toward unanimity, crashes
 /// it. A budget-disciplined rendering of the classic async adversary.
+///
+/// Each step delivers the first non-laggard message in pending(), but scans
+/// from `scan_from_`, not from 0, with the invariant that pending()[0,
+/// scan_from_) holds laggard traffic only. It holds because this scheduler
+/// never returns Wait: between two of its steps the engine changes the pool
+/// only by applying the previous action (swap-remove at the delivered index,
+/// or the crash's compaction) and by appending new sends. Events that could
+/// reorder the pool (deadline releases, timetable faults) run only after a
+/// Wait or while the pool is empty, and the pool empties only when
+/// scan_from_ is 0. So: after delivering index i, every slot below i is
+/// still laggard (scan_from_ = i); after the all-laggard fallback, every
+/// remaining slot is (scan_from_ = the new pool size); after a crash the
+/// scan restarts at 0. The chosen index, and so the run, is the full scan's.
 class LaggardScheduler final : public AsyncScheduler {
  public:
   explicit LaggardScheduler(std::uint64_t seed) : rng_(seed) {}
@@ -106,6 +119,7 @@ class LaggardScheduler final : public AsyncScheduler {
   Xoshiro256 rng_;  // synran-lint: allow(coin-source)
   std::uint32_t t_ = 0;
   std::vector<bool> lagging_;
+  std::size_t scan_from_ = 0;  ///< pending()[0, scan_from_) is laggard-only
 };
 
 /// Maximally patient: always Waits, so every held message is delivered only

@@ -1,16 +1,22 @@
-// Tests for the event-driven core's clock layer: EventList determinism and
-// FIFO tiebreaking, Trigger composition, the delay models (fixed, seeded
-// uniform, adversary-held, GST clamping), and the async run auditor's
-// violation detection.
+// Tests for the event-driven core's clock layer: EventList determinism,
+// FIFO tiebreaking and a reference-order fuzz across its bucket window,
+// Trigger composition, the delay models (fixed, seeded uniform,
+// adversary-held, GST clamping, saturation near kNever), and the async run
+// auditor's violation detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "async/audit.hpp"
+#include "async/benor.hpp"
+#include "async/core.hpp"
 #include "async/delay.hpp"
 #include "async/event.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace synran {
 namespace {
@@ -106,6 +112,131 @@ TEST(AsyncEventListTest, IdenticalScheduleIdenticalDispatch) {
   EXPECT_EQ(ra.seen, rb.seen);
 }
 
+// ------------------------------------------- reference-order fuzz
+
+/// The event list's contract restated as the simplest possible model: an
+/// ordered set of (time, seq, tag), dispatched smallest first.
+struct ReferenceList {
+  std::set<std::tuple<SimTime, std::uint64_t, std::uint64_t>> pending;
+  SimTime now = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t dispatched = 0;
+
+  void schedule_at(SimTime at, std::uint64_t tag) {
+    pending.insert({at, seq++, tag});
+  }
+  SimTime after(SimTime delay) const {
+    return kNever - now <= delay ? kNever - 1 : now + delay;
+  }
+  std::pair<SimTime, std::uint64_t> pop() {
+    const auto [at, s, tag] = *pending.begin();
+    pending.erase(pending.begin());
+    now = at;
+    ++dispatched;
+    return {at, tag};
+  }
+};
+
+/// Drives an EventList and a ReferenceList through the same seeded mix of
+/// schedule_at, schedule_in and run_next calls. Dispatched events schedule
+/// more from inside the callback, as the engine's activations do.
+class ReferenceFuzz final : public EventSource {
+ public:
+  explicit ReferenceFuzz(std::uint64_t seed) : rng_(seed) {}
+
+  void run(SimTime start, int ops) {
+    if (start != 0) {  // move both clocks to `start` first
+      list_.schedule_at(*this, start, next_tag_);
+      ref_.schedule_at(start, next_tag_++);
+      step();
+    }
+    for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      if (rng_.below(5) < 2)
+        schedule();
+      else
+        step();
+    }
+    draining_ = true;  // no more children, so the drain terminates
+    while (!ref_.pending.empty() && !::testing::Test::HasFailure()) step();
+    EXPECT_FALSE(list_.run_next());
+    EXPECT_EQ(seen_, expected_);
+  }
+
+  void do_next_event(SimTime now, std::uint64_t tag) override {
+    seen_.push_back({now, tag});
+    const std::uint64_t children = draining_ ? 0 : rng_.below(3);
+    for (std::uint64_t c = 0; c < children; ++c) schedule();
+  }
+
+ private:
+  static constexpr SimTime kW = 64;  // EventList's bucket window
+
+  SimTime delay() {
+    switch (rng_.below(10)) {
+      case 0: return 0;
+      case 1: return kW - 1;
+      case 2: return kW;
+      case 3: return kW + 1;
+      case 4: return kW + rng_.below(4 * kW);
+      case 5: return 1000 + rng_.below(1000000);  // far future
+      case 6: return rng_.below(50) == 0 ? kNever : rng_.below(kW);
+      default: return rng_.below(kW);
+    }
+  }
+
+  void schedule() {
+    const SimTime d = delay();
+    const SimTime at = ref_.after(d);
+    const std::uint64_t tag = next_tag_++;
+    if (rng_.flip())
+      list_.schedule_in(*this, d, tag);
+    else
+      list_.schedule_at(*this, at, tag);
+    ref_.schedule_at(at, tag);
+    check_state();
+  }
+
+  void step() {
+    if (ref_.pending.empty()) {
+      EXPECT_FALSE(list_.run_next());
+    } else {
+      expected_.push_back(ref_.pop());
+      ASSERT_TRUE(list_.run_next());
+    }
+    check_state();
+  }
+
+  void check_state() {
+    ASSERT_EQ(list_.size(), ref_.pending.size());
+    ASSERT_EQ(list_.empty(), ref_.pending.empty());
+    ASSERT_EQ(list_.dispatched(), ref_.dispatched);
+    ASSERT_EQ(list_.now(), ref_.now);
+    if (!ref_.pending.empty()) {
+      ASSERT_EQ(list_.next_time(), std::get<0>(*ref_.pending.begin()));
+    }
+  }
+
+  Xoshiro256 rng_;
+  EventList list_;
+  ReferenceList ref_;
+  std::uint64_t next_tag_ = 0;
+  bool draining_ = false;
+  std::vector<std::pair<SimTime, std::uint64_t>> seen_;
+  std::vector<std::pair<SimTime, std::uint64_t>> expected_;
+};
+
+TEST(AsyncEventListTest, MatchesReferenceOrderOnRandomSchedules) {
+  // Delays straddle the bucket window (0, W-1, W, W+1), reach far past it,
+  // and saturate at kNever - 1; a third of the runs start just below
+  // kNever, where `now + W` would wrap.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    ReferenceFuzz fuzz(seed);
+    fuzz.run(seed % 3 == 0 ? kNever - 200 : 0, 2000);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(AsyncTriggerTest, FiresActionWithTimeAndTag) {
   EventList list;
   std::vector<std::pair<SimTime, std::uint64_t>> fired;
@@ -170,6 +301,60 @@ TEST(AsyncDelayModelTest, GstClampsTimedInnerModel) {
   const LinkDelay out = d.classify({0, 1, 0}, 60);
   EXPECT_FALSE(out.held);
   EXPECT_EQ(out.deliver_at, 80u);  // min(60+1000, 60+20)
+}
+
+TEST(AsyncDelayModelTest, GstDeadlineSaturatesNearNever) {
+  // gst + bound exactly 2^64 - 1: the deadline is the last instant, not
+  // kNever ("no deadline").
+  GstDelay exact(kNever - 1000, 1000);
+  EXPECT_EQ(exact.classify({0, 1, 0}, 0).deadline, kNever - 1);
+  // gst + bound past 2^64 - 1: clamped, not wrapped into the past.
+  GstDelay past(kNever - 1000, 2000);
+  const LinkDelay held = past.classify({0, 1, 0}, 0);
+  EXPECT_TRUE(held.held);
+  EXPECT_EQ(held.deadline, kNever - 1);
+  // A send after GST near the end of time saturates the same way.
+  GstDelay early(10, 8);
+  EXPECT_EQ(early.classify({0, 1, 0}, kNever - 3).deadline, kNever - 1);
+  // A timed inner model is clamped to the saturated deadline too.
+  FixedDelay slow(kNever - 1);
+  GstDelay timed(slow, kNever - 1000, 2000);
+  EXPECT_EQ(timed.classify({0, 1, 0}, 5).deliver_at, kNever - 1);
+}
+
+TEST(AsyncDelayModelTest, FixedAndUniformSaturateNearNever) {
+  FixedDelay fixed(10);
+  EXPECT_EQ(fixed.classify({0, 1, 0}, kNever - 3).deliver_at, kNever - 1);
+  EXPECT_EQ(fixed.classify({0, 1, 0}, kNever - 11).deliver_at, kNever - 1);
+  EXPECT_EQ(fixed.classify({0, 1, 0}, kNever - 12).deliver_at, kNever - 2);
+  FixedDelay huge(kNever);
+  EXPECT_EQ(huge.classify({0, 1, 0}, 0).deliver_at, kNever - 1);
+  UniformDelay uniform(5, 9, 3);
+  for (int i = 0; i < 20; ++i)
+    EXPECT_EQ(uniform.classify({0, 1, 0}, kNever - 4).deliver_at, kNever - 1);
+  UniformDelay wide(0, kNever - 1, 3);
+  for (int i = 0; i < 20; ++i)
+    EXPECT_GE(wide.classify({0, 1, 0}, kNever - 100).deliver_at,
+              kNever - 100);
+}
+
+TEST(AsyncDelayModelTest, GstNearNeverStillDeliversAfterGst) {
+  // The stall scheduler only ever waits, so every delivery is a GST
+  // deadline. With gst + bound past 2^64 - 1 every one of them lands on
+  // kNever - 1, and the run must still decide there, after GST.
+  const BenOrAsyncFactory factory;
+  StallScheduler sched;
+  GstDelay delay(kNever - 1000, 2000);
+  AsyncEngineOptions opts;
+  opts.t_budget = 1;
+  opts.delay = &delay;
+  std::vector<Bit> inputs = {Bit::Zero, Bit::One, Bit::One, Bit::Zero,
+                             Bit::One};
+  const AsyncRunResult res = run_async(factory, inputs, sched, opts);
+  EXPECT_TRUE(res.terminated);
+  EXPECT_TRUE(res.agreement);
+  EXPECT_GE(res.end_time, delay.gst());
+  EXPECT_EQ(res.decision_time, kNever - 1);
 }
 
 // ------------------------------------------------------------ the auditor

@@ -4,7 +4,8 @@
 // count, retries, stop handling and argument checks through the executor,
 // structured scheduler-violation errors, fault-timetable injection,
 // partial synchrony, retransmission recovery, and golden-pinned decision
-// stats for the fixed-delay configuration.
+// stats for the fixed-delay, adversary-held, laggard-with-crashes and
+// beyond-window GST configurations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -546,6 +547,42 @@ TEST(AsyncGolden, AdversaryHeldBatchPinned) {
   EXPECT_EQ(stats.decided_one(), 4u);
   EXPECT_DOUBLE_EQ(stats.messages_delivered().mean(), 308.16666666666669);
   EXPECT_DOUBLE_EQ(stats.coin_flips().mean(), 7.0833333333333339);
+}
+
+TEST(AsyncGolden, LaggardHeldCrashBatchPinned) {
+  // The laggard adversary over adversary-held delivery with a crash budget:
+  // its pool scan, the held pool's swap-remove order and the crash
+  // compaction all feed these numbers.
+  const BenOrAsyncFactory factory;
+  AsyncRepeatSpec spec = base_spec(77, 1);
+  spec.n = 16;
+  spec.engine.t_budget = 3;
+  const AsyncRunStats stats = run_repeated_async(
+      factory, laggard_scheduler_factory(), held_delay_factory(), spec);
+  EXPECT_TRUE(stats.all_safe());
+  EXPECT_EQ(stats.reps(), 12u);
+  EXPECT_EQ(stats.decided_one(), 8u);
+  EXPECT_DOUBLE_EQ(stats.messages_delivered().mean(), 1196.75);
+  EXPECT_DOUBLE_EQ(stats.coin_flips().mean(), 24.916666666666664);
+  EXPECT_DOUBLE_EQ(stats.crashes_used().mean(), 3.0);
+  EXPECT_DOUBLE_EQ(stats.rounds_to_decision().mean(), 4.0);
+}
+
+TEST(AsyncGolden, StallGstBeyondWindowBatchPinned) {
+  // Stall adversary under GST 200 / bound 8 with retransmission every 16
+  // ticks: the first deadlines lie beyond the event list's bucket window,
+  // so they take the far path before every later tick runs in the window.
+  const BenOrAsyncFactory factory(BenOrOptions{16});
+  AsyncRepeatSpec spec = base_spec(91, 1);
+  const AsyncRunStats stats = run_repeated_async(
+      factory, stall_scheduler_factory(), gst_delay_factory(200, 8), spec);
+  EXPECT_TRUE(stats.all_safe());
+  EXPECT_EQ(stats.reps(), 12u);
+  EXPECT_EQ(stats.decided_one(), 9u);
+  EXPECT_DOUBLE_EQ(stats.ticks_to_decision().mean(), 265.33333333333337);
+  EXPECT_DOUBLE_EQ(stats.messages_delivered().mean(), 1525.3333333333333);
+  EXPECT_DOUBLE_EQ(stats.timers_fired().mean(), 128.66666666666669);
+  EXPECT_DOUBLE_EQ(stats.coin_flips().mean(), 24.666666666666668);
 }
 
 }  // namespace

@@ -2,10 +2,16 @@
 // and the Ben-Or protocol's consensus properties.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <string>
+
 #include "async/benor.hpp"
 #include "async/core.hpp"
 #include "async/scheduler.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace synran {
 namespace {
@@ -273,6 +279,144 @@ TEST(SchedulerTest, LaggardPrefersNonLaggardTraffic) {
   const auto action = sched.step(world);
   ASSERT_EQ(action.kind, AsyncAction::Kind::Deliver);
   EXPECT_GE(pending[action.index].from, 2u);
+}
+
+/// LaggardScheduler's original step, which rescans pending() from index 0
+/// every call: the reference the resumable scan must match decision for
+/// decision, consuming the RNG identically.
+class FullScanLaggard final : public AsyncScheduler {
+ public:
+  explicit FullScanLaggard(std::uint64_t seed) : rng_(seed) {}
+  void begin(std::uint32_t n, std::uint32_t t) override {
+    lagging_.assign(n, false);
+    for (std::uint32_t i = 0; i < n && i < t; ++i) lagging_[i] = true;
+  }
+  AsyncAction step(const AsyncWorld& world) override {
+    const auto pending = world.pending();
+    if (world.crash_budget() > 0 && rng_.uniform() < 0.02) {
+      ProcessId victim = world.n();
+      std::uint32_t best_round = 0;
+      for (ProcessId i = 0; i < world.n(); ++i) {
+        if (world.crashed(i)) continue;
+        const auto v = world.view(i);
+        if (!v.decided && v.round >= best_round) {
+          best_round = v.round;
+          victim = i;
+        }
+      }
+      if (victim < world.n()) {
+        AsyncAction act;
+        act.kind = AsyncAction::Kind::Crash;
+        act.victim = victim;
+        for (std::size_t i = 0; i < pending.size(); ++i)
+          if (pending[i].from == victim) act.drop.push_back(i);
+        return act;
+      }
+    }
+    for (std::size_t i = 0; i < pending.size(); ++i)
+      if (!lagging_[pending[i].from])
+        return {AsyncAction::Kind::Deliver, i, 0, {}};
+    return {AsyncAction::Kind::Deliver, 0, 0, {}};
+  }
+  const char* name() const override { return "laggard-full-scan"; }
+
+ private:
+  Xoshiro256 rng_;
+  std::vector<bool> lagging_;
+};
+
+/// A run's outcome: every AsyncRunResult field, or the error it threw.
+std::string outcome(const AsyncProcessFactory& factory,
+                    const std::vector<Bit>& inputs, AsyncScheduler& sched,
+                    const AsyncEngineOptions& opts) {
+  std::ostringstream os;
+  try {
+    const AsyncRunResult r = run_async(factory, inputs, sched, opts);
+    os << r.terminated << ' ' << r.decided_live << ' ' << r.agreement << ' '
+       << r.validity << ' ' << to_int(r.decision) << ' ' << r.steps << ' '
+       << r.messages_delivered << ' ' << r.max_round << ' ' << r.coin_flips
+       << ' ' << r.crashes << ' ' << r.omissions << ' ' << r.messages_omitted
+       << ' ' << r.timers_fired << ' ' << r.end_time << ' '
+       << r.decision_time;
+  } catch (const std::exception& e) {
+    os << "threw: " << e.what();
+  }
+  return os.str();
+}
+
+/// Holds even senders' messages for the scheduler (deadline 4 ticks out)
+/// and times odd senders' at 2 ticks: the held pool drains and refills as
+/// time advances, so events and faults interleave with scheduler steps.
+class AlternatingDelay final : public DelayModel {
+ public:
+  LinkDelay classify(const AsyncMessage& msg, SimTime now) override {
+    if (msg.from % 2 == 0) return LinkDelay{0, true, now + 4};
+    return LinkDelay{now + 2, false, kNever};
+  }
+  const char* name() const override { return "alternating"; }
+};
+
+TEST(AsyncSchedulerTest, LaggardMatchesFullScanReference) {
+  // The resumable scan must pick exactly the index the full scan picks, in
+  // every regime that touches the held pool: swap-remove deliveries,
+  // scheduler-crash compaction, held traffic with GST deadlines inside and
+  // beyond the event list's bucket window, timed traffic, and timetable
+  // crashes and omissions (with retransmission) that run while the pool is
+  // empty. 7 configs x 20 seeds x 2 runs; each scheduler is reused for its
+  // second run, so begin() must reset the scan.
+  using MakeDelay = std::function<std::unique_ptr<DelayModel>()>;
+  const MakeDelay held = [] { return std::unique_ptr<DelayModel>(); };
+  const auto gst = [](SimTime g, SimTime b) -> MakeDelay {
+    return [g, b] { return std::make_unique<GstDelay>(g, b); };
+  };
+  const MakeDelay fixed = [] { return std::make_unique<FixedDelay>(3); };
+  const MakeDelay alternating = [] {
+    return std::make_unique<AlternatingDelay>();
+  };
+  struct Case {
+    const char* name;
+    std::uint32_t n;
+    std::uint32_t t;
+    MakeDelay delay;
+    std::uint64_t retransmit;
+    bool timetable;
+  };
+  const Case cases[] = {
+      {"held", 9, 2, held, 0, false},
+      {"held-crashes", 16, 7, held, 0, false},
+      {"gst-inside", 9, 4, gst(7, 3), 0, false},
+      {"gst-beyond", 8, 3, gst(100, 70), 0, false},
+      {"fixed", 7, 3, fixed, 0, false},
+      {"alternating", 9, 4, alternating, 0, false},
+      {"timetable", 11, 5, alternating, 5, true},
+  };
+  for (const Case& c : cases) {
+    AsyncFaultTimetable faults;
+    faults.crashes.push_back({6, c.n - 1});
+    faults.omissions.push_back({9, 3, 5});
+    const BenOrAsyncFactory factory(BenOrOptions{c.retransmit});
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      std::vector<Bit> inputs(c.n);
+      Xoshiro256 rng(seed * 7919);
+      for (auto& b : inputs) b = rng.flip() ? Bit::One : Bit::Zero;
+      LaggardScheduler fast(seed);
+      FullScanLaggard slow(seed);
+      for (int again = 0; again < 2; ++again) {
+        const std::unique_ptr<DelayModel> delay = c.delay();
+        AsyncEngineOptions opts;
+        opts.t_budget = c.t;
+        opts.seed = seed + 1000 * again;
+        opts.delay = delay.get();
+        if (c.timetable) {
+          opts.faults = &faults;
+          opts.omission_budget = 1;
+        }
+        const std::string want = outcome(factory, inputs, slow, opts);
+        EXPECT_EQ(outcome(factory, inputs, fast, opts), want);
+      }
+    }
+  }
 }
 
 TEST(BenOrAsyncTest, StaleMessagesAreIgnoredSafely) {
