@@ -24,22 +24,24 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
 
   // Classify this round's senders by the value their message supports.
   // Deterministic-stage senders are left alone: once the flooding stage is
-  // reached, crashes can no longer extend the execution.
+  // reached, crashes can no longer extend the execution. Every sender is
+  // alive, so each scan below walks the live set in increasing order.
+  const DynBitset& alive = world.alive();
   std::vector<ProcessId> one_senders, zero_senders;
   std::uint32_t det_senders = 0, senders = 0;
-  for (ProcessId i = 0; i < n; ++i) {
-    const auto p = world.payload(i);
-    if (!p.has_value()) continue;
+  alive.for_each_set([&](std::size_t i) {
+    const auto p = world.payload(static_cast<ProcessId>(i));
+    if (!p.has_value()) return;
     ++senders;
     if (*p & payload::kDeterministicFlag) {
       ++det_senders;
-      continue;
+      return;
     }
     if (payload::supports(*p, Bit::One))
-      one_senders.push_back(i);
+      one_senders.push_back(static_cast<ProcessId>(i));
     else
-      zero_senders.push_back(i);
-  }
+      zero_senders.push_back(static_cast<ProcessId>(i));
+  });
 
   const std::uint32_t budget = world.round_budget();
   if (budget == 0 || senders == 0 || det_senders == senders) {
@@ -50,8 +52,8 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
   // Receiver-side N^{r-1} bounds among processes that will digest this round.
   std::uint32_t np_min = 0, np_max = 0;
   bool first = true;
-  for (ProcessId i = 0; i < n; ++i) {
-    if (!world.alive().test(i) || world.halted().test(i)) continue;
+  alive.for_each_set([&](std::size_t i) {
+    if (world.halted().test(i)) return;
     const std::uint32_t c = last_count_[i];
     if (first) {
       np_min = np_max = c;
@@ -60,7 +62,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
       np_min = std::min(np_min, c);
       np_max = std::max(np_max, c);
     }
-  }
+  });
   if (first) {
     note_deliveries(world, plan);
     return plan;
@@ -90,6 +92,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
       const std::uint32_t kills = std::min<std::uint32_t>(
           {need, budget, static_cast<std::uint32_t>(o + z)});
       auto& pool = o != 0 ? one_senders : zero_senders;
+      plan.crashes.reserve(kills);
       for (std::uint32_t k = 0; k < kills; ++k) {
         const std::size_t j = k + rng_.below(pool.size() - k);
         std::swap(pool[k], pool[j]);
@@ -115,12 +118,13 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
     if (kills > 0) {
       DynBitset reserve(n);
       std::uint32_t tick = split_parity_ ? 0 : 2;  // rotate the group
-      for (ProcessId i = 0; i < n; ++i) {
-        if (!world.alive().test(i) || world.halted().test(i)) continue;
+      alive.for_each_set([&](std::size_t i) {
+        if (world.halted().test(i)) return;
         if (tick % 5 == 0) reserve.set(i);  // ~20% of receivers
         ++tick;
-      }
+      });
       split_parity_ = !split_parity_;
+      plan.crashes.reserve(kills);
       for (std::uint32_t k = 0; k < kills; ++k) {
         const std::size_t j = k + rng_.below(one_senders.size() - k);
         std::swap(one_senders[k], one_senders[j]);
@@ -139,12 +143,13 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
     if (z <= budget) {
       DynBitset half(n);
       bool tick = split_parity_;
-      for (ProcessId i = 0; i < n; ++i) {
-        if (!world.alive().test(i) || world.halted().test(i)) continue;
+      alive.for_each_set([&](std::size_t i) {
+        if (world.halted().test(i)) return;
         if (tick) half.set(i);
         tick = !tick;
-      }
+      });
       split_parity_ = !split_parity_;
+      plan.crashes.reserve(zero_senders.size());
       for (ProcessId v : zero_senders) {
         CrashDirective c;
         c.victim = v;

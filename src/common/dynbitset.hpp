@@ -49,13 +49,18 @@ class DynBitset {
     for (auto& w : words_) w = 0ULL;
   }
 
+  /// Population count. The default build targets baseline x86-64, where
+  /// std::popcount compiles to a call to libgcc's __popcountdi2 per word
+  /// (no POPCNT instruction), so hot paths should count once per distinct
+  /// mask rather than once per user of it.
   std::size_t count() const {
     std::size_t c = 0;
     for (auto w : words_) c += static_cast<std::size_t>(std::popcount(w));
     return c;
   }
 
-  /// `(*this & o).count()` without materializing the intersection.
+  /// `(*this & o).count()` without materializing the intersection. Same
+  /// per-word popcount cost as count().
   std::size_t count_and(const DynBitset& o) const {
     SYNRAN_CHECK(n_ == o.n_);
     std::size_t c = 0;

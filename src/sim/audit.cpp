@@ -299,23 +299,34 @@ void RunAuditor::on_deliveries(
   for (std::uint32_t i = 0; i < n_; ++i) {
     if (payloads[i].has_value() && !crashed_now.test(i)) ++full_senders;
   }
-  std::uint64_t expected = full_senders * active_receivers.count();
-  for (const auto& c : plan.crashes) {
-    expected += c.deliver_to.count_and(active_receivers);
+  // Each crashed sender reaches deliver_to ∩ active. A run of consecutive
+  // directives with equal masks (the grouping apply_crash_groups uses) is
+  // counted once and multiplied by its length.
+  const auto& crashes = plan.crashes;
+  std::uint64_t partial = 0;
+  for (std::size_t g = 0; g < crashes.size();) {
+    const DynBitset& mask = crashes[g].deliver_to;
+    std::uint64_t run = 0;
+    do {
+      ++run;
+      ++g;
+    } while (g < crashes.size() && crashes[g].deliver_to == mask);
+    partial += run * mask.count_and(active_receivers);
   }
   std::uint64_t omitted = 0;
   for (const auto& o : plan.omissions) {
     omitted += o.drop_for.count_and(active_receivers);
   }
-  expected -= omitted;
+  const std::uint64_t expected =
+      full_senders * active_receivers.count() + partial - omitted;
   if (delivered != expected) {
     std::ostringstream os;
     os << "delivered " << delivered << " point-to-point messages but the "
        << "surviving-sender broadcast count is " << expected << " ("
        << full_senders << " full broadcasts to "
-       << active_receivers.count() << " active receivers plus "
-       << plan.crash_count() << " partial deliveries minus " << omitted
-       << " omitted links)";
+       << active_receivers.count() << " active receivers plus " << partial
+       << " partial deliveries from " << plan.crash_count()
+       << " crashed senders minus " << omitted << " omitted links)";
     fail(round, os.str());
   }
 }

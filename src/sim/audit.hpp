@@ -24,10 +24,15 @@
 //     drop_for ∩ active.
 //
 // Violations throw InvariantError with a round-stamped narrative naming the
-// process and the budget arithmetic involved. The predicates are cheap
-// (bitset ops, O(n) per round) so the engine keeps them always on;
-// AuditedAdversary additionally lets tests and fuzzers wrap any third-party
-// Adversary and validate it in isolation.
+// process and the budget arithmetic involved. The predicates are cheap, so
+// the engine keeps them always on. Per round they cost two O(n) passes over
+// the payload slots (silence of the dead, the full-sender recount), O(1)
+// per directive for the plan checks, and for the delivery count one
+// count_and per run of consecutive crash directives with equal masks plus
+// one mask comparison per directive (O(n/64) words each). An adversary
+// that hides a whole camp behind one mask therefore pays one popcount
+// pass, not one per victim. AuditedAdversary additionally lets tests and
+// fuzzers wrap any third-party Adversary and validate it in isolation.
 #pragma once
 
 #include <cstdint>

@@ -13,8 +13,7 @@ namespace {
 
 /// Snapshot of the engine state right after phase A, in observer vocabulary.
 obs::RoundObservation observe_round(
-    Round round, std::uint32_t n, const DynBitset& alive,
-    const DynBitset& halted,
+    Round round, const DynBitset& alive, const DynBitset& halted,
     const std::vector<std::optional<Payload>>& payloads,
     const std::vector<std::unique_ptr<Process>>& procs,
     std::uint32_t budget_left) {
@@ -23,15 +22,16 @@ obs::RoundObservation observe_round(
   ro.alive = static_cast<std::uint32_t>(alive.count());
   ro.halted = static_cast<std::uint32_t>(halted.count());
   ro.budget_left = budget_left;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (alive.test(i) && procs[i]->decided()) ++ro.decided;
+  // Crashed processes' slots are empty, so the live set covers every sender.
+  alive.for_each_set([&](std::size_t i) {
+    if (procs[i]->decided()) ++ro.decided;
     const auto& p = payloads[i];
-    if (!p.has_value()) continue;
+    if (!p.has_value()) return;
     ++ro.senders;
     if (payload::supports(*p, Bit::One)) ++ro.ones;
     if (payload::supports(*p, Bit::Zero)) ++ro.zeros;
     if (*p & payload::kDeterministicFlag) ++ro.deterministic;
-  }
+  });
   return ro;
 }
 
@@ -97,33 +97,31 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
   std::uint32_t corruption_budget_left = options.byzantine_budget;
 
   for (Round r = 1; r <= options.max_rounds; ++r) {
-    // --- Phase A: local computation, coins, message preparation.
+    // --- Phase A: local computation, coins, message preparation. Only live
+    // processes run, in increasing order. A halted process's slot was
+    // cleared when it returned nullopt and a crashed one's when its crash
+    // committed, so no other slot needs touching.
+    //
+    // Decision bookkeeping rides along. A process decides while digesting
+    // the previous round's receipt, so "all decided as of phase A of round
+    // r" means the protocol reached decision in round r-1 (paper counting).
     bool anyone_sending = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!alive.test(i) || halted.test(i)) {
-        payloads[i].reset();
-        continue;
+    bool all_decided = sum.rounds_to_decision == 0 && r > 1;
+    alive.for_each_set([&](std::size_t i) {
+      if (!halted.test(i)) {
+        const Receipt* prev = have_receipt[i] != 0 ? &receipts[i] : nullptr;
+        payloads[i] = procs[i]->on_round(prev, coins[i]);
+        if (!payloads[i].has_value()) {
+          SYNRAN_CHECK_MSG(procs[i]->decided(),
+                           "process halted without deciding");
+          halted.set(i);
+        } else {
+          anyone_sending = true;
+        }
       }
-      const Receipt* prev = have_receipt[i] != 0 ? &receipts[i] : nullptr;
-      payloads[i] = procs[i]->on_round(prev, coins[i]);
-      if (!payloads[i].has_value()) {
-        SYNRAN_CHECK_MSG(procs[i]->decided(),
-                         "process halted without deciding");
-        halted.set(i);
-      } else {
-        anyone_sending = true;
-      }
-    }
-
-    // Decision bookkeeping. A process decides while digesting the previous
-    // round's receipt, so "all decided as of phase A of round r" means the
-    // protocol reached decision in round r-1 (paper counting).
-    if (sum.rounds_to_decision == 0 && r > 1) {
-      bool all_decided = true;
-      for (std::uint32_t i = 0; i < n && all_decided; ++i)
-        if (alive.test(i) && !procs[i]->decided()) all_decided = false;
-      if (all_decided) sum.rounds_to_decision = r - 1;
-    }
+      if (all_decided && !procs[i]->decided()) all_decided = false;
+    });
+    if (all_decided) sum.rounds_to_decision = r - 1;
 
     auditor.on_phase_a(r, payloads, halted, procs);
 
@@ -137,7 +135,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     obs::RoundObservation round_obs;
     if (observer != nullptr) {
       round_obs =
-          observe_round(r, n, alive, halted, payloads, procs, budget_left);
+          observe_round(r, alive, halted, payloads, procs, budget_left);
       observer->on_round_begin(round_obs);
     }
 
@@ -185,7 +183,10 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     if (full != nullptr)
       ws_.crashes_per_round_.push_back(
           static_cast<std::uint32_t>(plan.crash_count()));
-    for (const auto& c : plan.crashes) alive.reset(c.victim);
+    for (const auto& c : plan.crashes) {
+      alive.reset(c.victim);
+      payloads[c.victim].reset();  // the dead stay silent from next round on
+    }
     if (observer != nullptr) {
       round_obs.crashes = static_cast<std::uint32_t>(plan.crash_count());
       round_obs.delivered = round_delivered;

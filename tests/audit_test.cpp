@@ -8,6 +8,7 @@
 
 #include "adversary/basic.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
@@ -321,6 +322,113 @@ TEST(AuditTest, RunAuditorPartialDeliveryAccounting) {
   EXPECT_NO_THROW(auditor.on_deliveries(1, plan, payloads, active, 11));
   EXPECT_EQ(auditor.crashes_so_far(), 1u);
   EXPECT_EQ(auditor.budget_left(), 1u);
+  // The message's terms add up: the partial-link total and the number of
+  // crashed senders are separate figures.
+  try {
+    auditor.on_deliveries(1, plan, payloads, active, 10);
+    FAIL() << "expected an InvariantError";
+  } catch (const InvariantError& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("broadcast count is 11"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 full broadcasts to 3 active receivers"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("plus 2 partial deliveries"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("from 1 crashed senders"), std::string::npos) << what;
+  }
+}
+
+TEST(AuditTest, GroupedPartialDeliveriesMatchPerDirectiveSum) {
+  // The auditor counts deliver_to ∩ active once per run of equal masks.
+  // Random plans mix runs, non-adjacent repeats (A, B, A), empty and
+  // all-ones masks, and active sets that drop some mask members; the
+  // reference sums count_and one directive at a time.
+  Xoshiro256 rng(2024);
+  std::uint32_t long_runs = 0;  // runs of length ≥ 2 reaching someone
+  std::uint32_t repeats = 0;    // a mask recurring after a different one
+  std::uint32_t empties = 0, fulls = 0;
+  for (const std::uint32_t n : {3u, 63u, 64u, 65u, 130u, 200u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<std::optional<Payload>> payloads(n);
+      std::vector<ProcessId> senders;
+      for (ProcessId i = 0; i < n; ++i) {
+        if (rng.below(8) == 0) continue;
+        payloads[i] = rng.below(2) == 0 ? payload::kSupports0
+                                        : payload::kSupports1;
+        senders.push_back(i);
+      }
+      for (std::size_t k = senders.size(); k > 1; --k)
+        std::swap(senders[k - 1], senders[rng.below(k)]);
+      const std::size_t victims = rng.below(senders.size() + 1);
+
+      // Palette: empty, all-ones and three random masks.
+      std::vector<DynBitset> palette{DynBitset(n), DynBitset(n, true)};
+      for (int m = 0; m < 3; ++m) {
+        DynBitset mask(n);
+        for (ProcessId i = 0; i < n; ++i)
+          if (rng.below(2) == 0) mask.set(i);
+        palette.push_back(mask);
+      }
+      FaultPlan plan;
+      std::vector<std::size_t> used;  // palette index per directive
+      while (plan.crashes.size() < victims) {
+        const std::size_t pick = rng.below(palette.size());
+        const std::size_t len = 1 + rng.below(4);
+        for (std::size_t k = 0; k < len && plan.crashes.size() < victims;
+             ++k) {
+          plan.crashes.push_back(
+              {senders[plan.crashes.size()], palette[pick]});
+          used.push_back(pick);
+        }
+      }
+
+      DynBitset active(n, true);
+      for (const auto& c : plan.crashes) active.reset(c.victim);
+      for (ProcessId i = 0; i < n; ++i)
+        if (rng.below(5) == 0) active.reset(i);
+
+      const std::uint64_t full_senders = senders.size() - victims;
+      std::uint64_t reference = full_senders * active.count();
+      for (const auto& c : plan.crashes)
+        reference += c.deliver_to.count_and(active);
+
+      for (std::size_t g = 0; g < used.size();) {
+        std::size_t h = g;
+        while (h < used.size() && palette[used[h]] == palette[used[g]]) ++h;
+        if (h - g >= 2 && palette[used[g]].count_and(active) > 0)
+          ++long_runs;
+        for (std::size_t e = 0; e < g; ++e) {
+          if (palette[used[e]] == palette[used[g]]) {
+            ++repeats;
+            break;
+          }
+        }
+        if (palette[used[g]].none()) ++empties;
+        if (palette[used[g]].count() == n) ++fulls;
+        g = h;
+      }
+
+      RunAuditor auditor;
+      auditor.begin(n, n, 0);
+      auditor.on_plan(1, plan, payloads);
+      EXPECT_NO_THROW(
+          auditor.on_deliveries(1, plan, payloads, active, reference))
+          << "n=" << n << " trial " << trial;
+      EXPECT_THROW(
+          auditor.on_deliveries(1, plan, payloads, active, reference + 1),
+          InvariantError)
+          << "n=" << n << " trial " << trial;
+      EXPECT_THROW(
+          auditor.on_deliveries(1, plan, payloads, active, reference - 1),
+          InvariantError)
+          << "n=" << n << " trial " << trial;
+    }
+  }
+  EXPECT_GT(long_runs, 0u);
+  EXPECT_GT(repeats, 0u);
+  EXPECT_GT(empties, 0u);
+  EXPECT_GT(fulls, 0u);
 }
 
 }  // namespace

@@ -3,9 +3,14 @@
 // isolation from the real consensus logic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string>
 
+#include "adversary/coinbias.hpp"
 #include "common/check.hpp"
+#include "obs/observer.hpp"
+#include "protocols/synran.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/rollout.hpp"
@@ -302,6 +307,137 @@ TEST(EngineTest, EmptyInputsRejected) {
   EchoFactory factory(1);
   NoAdversary adv;
   EXPECT_THROW(run_once(factory, {}, adv, {}), ArgumentError);
+}
+
+// Keeps the observation the engine reported at the start of each round.
+class RoundBeginRecorder final : public obs::EngineObserver {
+ public:
+  void on_round_begin(const obs::RoundObservation& round) override {
+    last = round;
+  }
+  obs::RoundObservation last;
+};
+
+// Before delegating to `inner`, checks every round that exactly the alive,
+// non-halted processes hold a payload, and that the observer's round-start
+// counts match a recount over every slot.
+class SlotCheckAdversary final : public Adversary {
+ public:
+  SlotCheckAdversary(Adversary& inner, const RoundBeginRecorder& recorder)
+      : inner_(inner), recorder_(recorder) {}
+
+  void begin(std::uint32_t n, std::uint32_t t_budget) override {
+    inner_.begin(n, t_budget);
+  }
+
+  FaultPlan plan_round(const WorldView& world) override {
+    obs::RoundObservation want;
+    std::uint32_t bad_slots = 0, crashed = 0, halted = 0;
+    for (ProcessId i = 0; i < world.n(); ++i) {
+      const bool dead = !world.alive().test(i);
+      const bool stopped = world.halted().test(i);
+      const auto& p = world.payloads()[i];
+      if (p.has_value() == (dead || stopped)) ++bad_slots;
+      crashed += dead ? 1 : 0;
+      halted += stopped ? 1 : 0;
+      if (!dead && world.processes()[i]->decided()) ++want.decided;
+      if (!p.has_value()) continue;
+      ++want.senders;
+      if (payload::supports(*p, Bit::One)) ++want.ones;
+      if (payload::supports(*p, Bit::Zero)) ++want.zeros;
+      if (*p & payload::kDeterministicFlag) ++want.deterministic;
+    }
+    const obs::RoundObservation& got = recorder_.last;
+    EXPECT_EQ(bad_slots, 0u) << "round " << world.round();
+    EXPECT_EQ(got.round, world.round());
+    EXPECT_EQ(got.senders, want.senders) << "round " << world.round();
+    EXPECT_EQ(got.decided, want.decided) << "round " << world.round();
+    EXPECT_EQ(got.ones, want.ones) << "round " << world.round();
+    EXPECT_EQ(got.zeros, want.zeros) << "round " << world.round();
+    EXPECT_EQ(got.deterministic, want.deterministic)
+        << "round " << world.round();
+    if (crashed > 0) ++rounds_with_crashed;
+    if (halted > 0) ++rounds_with_halted;
+
+    FaultPlan plan = inner_.plan_round(world);
+    max_crashes = std::max<std::size_t>(max_crashes, plan.crash_count());
+    return plan;
+  }
+  const char* name() const override { return "slot-check"; }
+
+  std::uint32_t rounds_with_crashed = 0;
+  std::uint32_t rounds_with_halted = 0;
+  std::size_t max_crashes = 0;
+
+ private:
+  Adversary& inner_;
+  const RoundBeginRecorder& recorder_;
+};
+
+// Process i echoes for 1 + i % 7 exchanges, so halted and sending
+// processes share rounds.
+class StaggeredEchoFactory final : public ProcessFactory {
+ public:
+  std::unique_ptr<Process> make(ProcessId id, std::uint32_t n,
+                                Bit input) const override {
+    return std::make_unique<EchoProcess>(id, n, input, 1 + id % 7);
+  }
+  const char* name() const override { return "staggered-echo"; }
+};
+
+TEST(EngineTest, PayloadSlotsFollowTheLiveSet) {
+  // Phase A visits only live processes and a crashed slot is cleared once,
+  // when its crash commits. Sizes around the word boundary leave `alive`
+  // ending in a partial word; one workspace serves every run, so slots
+  // left by a bigger or crash-heavy run must not leak into the next.
+  EngineWorkspace ws;
+  Engine engine(ws);
+  SynRanFactory synran;
+  StaggeredEchoFactory staggered;
+  for (const std::uint32_t n : {63u, 64u, 65u, 130u}) {
+    std::vector<Bit> inputs(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+      inputs[i] = i % 2 == 0 ? Bit::Zero : Bit::One;
+    for (const ProcessFactory* factory :
+         {static_cast<const ProcessFactory*>(&synran),
+          static_cast<const ProcessFactory*>(&staggered)}) {
+      const std::string where =
+          std::string(factory->name()) + " n=" + std::to_string(n);
+      for (const bool attack : {true, false}) {
+        std::uint32_t crashed_rounds = 0, halted_rounds = 0;
+        std::size_t max_crashes = 0;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          CoinBiasAdversary coinbias({0.55, true, seed});
+          NoAdversary none;
+          RoundBeginRecorder recorder;
+          SlotCheckAdversary check(
+              attack ? static_cast<Adversary&>(coinbias)
+                     : static_cast<Adversary&>(none),
+              recorder);
+          EngineOptions opts;
+          opts.t_budget = attack ? n - 1 : 0;
+          opts.seed = seed * 17 + n;
+          opts.max_rounds = 50000;
+          opts.observer = &recorder;
+          const RunSummary sum = engine.run(*factory, inputs, check, opts);
+          EXPECT_TRUE(sum.terminated) << where << " seed " << seed;
+          crashed_rounds += check.rounds_with_crashed;
+          halted_rounds += check.rounds_with_halted;
+          max_crashes = std::max(max_crashes, check.max_crashes);
+        }
+        if (attack && factory == &synran) {
+          // CoinBias crashes many victims behind one shared mask.
+          EXPECT_GE(max_crashes, n / 4) << where;
+        }
+        if (attack) {
+          EXPECT_GT(crashed_rounds, 0u) << where;
+        }
+        if (factory == &staggered) {
+          EXPECT_GT(halted_rounds, 0u) << where;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- validity_holds
