@@ -13,14 +13,12 @@ FaultPlan StaticCrashAdversary::plan_round(const WorldView& world) {
     if (e.round != world.round()) continue;
     if (budget == 0) break;
     if (!world.sending(e.victim)) continue;  // dead or halted — nothing to cut
-    CrashDirective c;
-    c.victim = e.victim;
-    c.deliver_to = DynBitset(world.n());
+    DynBitset mask(world.n());
     for (ProcessId r : e.deliver_to) {
       SYNRAN_REQUIRE(r < world.n(), "deliver_to recipient out of range");
-      c.deliver_to.set(r);
+      mask.set(r);
     }
-    plan.crashes.push_back(std::move(c));
+    plan.crashes.push_back({e.victim, std::move(mask)});
     --budget;
   }
   return plan;
@@ -55,12 +53,10 @@ FaultPlan RandomCrashAdversary::plan_round(const WorldView& world) {
   }
 
   for (std::uint32_t k = 0; k < count; ++k) {
-    CrashDirective c;
-    c.victim = senders[k];
-    c.deliver_to = DynBitset(world.n());
+    DynBitset mask(world.n());
     for (ProcessId r = 0; r < world.n(); ++r)
-      if (rng_.flip()) c.deliver_to.set(r);
-    plan.crashes.push_back(std::move(c));
+      if (rng_.flip()) mask.set(r);
+    plan.crashes.push_back({senders[k], std::move(mask)});
   }
   return plan;
 }
@@ -97,12 +93,10 @@ FaultPlan ChainHidingAdversary::plan_round(const WorldView& world) {
   }
   if (successor == world.n()) return plan;  // nobody left to pass 0 to
 
-  CrashDirective c;
-  c.victim = holder;
-  c.deliver_to = DynBitset(world.n());
-  c.deliver_to.set(successor);
+  DynBitset mask(world.n());
+  mask.set(successor);
   was_holder_[holder] = true;
-  plan.crashes.push_back(std::move(c));
+  plan.crashes.push_back({holder, std::move(mask)});
   return plan;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
 #include "net/fabric.hpp"
@@ -71,11 +72,12 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
   const std::uint64_t o = one_senders.size();
   const std::uint64_t z = zero_senders.size();
 
-  const auto empty_crash = [&](ProcessId v) {
-    CrashDirective c;
-    c.victim = v;
-    c.deliver_to = DynBitset(n);  // message reaches nobody
-    plan.crashes.push_back(std::move(c));
+  // Every mask below is built once per round and shared by all of the
+  // round's directives.
+  const auto crash_all = [&](std::span<const ProcessId> victims,
+                             const SharedMask& mask) {
+    plan.crashes.reserve(victims.size());
+    for (ProcessId v : victims) plan.crashes.push_back({v, mask});
   };
 
   if (o == 0 || z == 0) {
@@ -92,12 +94,12 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
       const std::uint32_t kills = std::min<std::uint32_t>(
           {need, budget, static_cast<std::uint32_t>(o + z)});
       auto& pool = o != 0 ? one_senders : zero_senders;
-      plan.crashes.reserve(kills);
       for (std::uint32_t k = 0; k < kills; ++k) {
         const std::size_t j = k + rng_.below(pool.size() - k);
         std::swap(pool[k], pool[j]);
-        empty_crash(pool[k]);
       }
+      // The messages reach nobody.
+      crash_all(std::span(pool).first(kills), DynBitset(n));
     }
   } else if (10 * o > 6 * static_cast<std::uint64_t>(np_min)) {
     // 1-surplus: trim the 1-count back into the coin-flip window for most
@@ -124,15 +126,11 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
         ++tick;
       });
       split_parity_ = !split_parity_;
-      plan.crashes.reserve(kills);
       for (std::uint32_t k = 0; k < kills; ++k) {
         const std::size_t j = k + rng_.below(one_senders.size() - k);
         std::swap(one_senders[k], one_senders[j]);
-        CrashDirective c;
-        c.victim = one_senders[k];
-        c.deliver_to = reserve;
-        plan.crashes.push_back(std::move(c));
       }
+      crash_all(std::span(one_senders).first(kills), std::move(reserve));
     }
   } else if (10 * o < 5 * static_cast<std::uint64_t>(np_max)) {
     // 0-surplus. Thresholds compare O^r against the *previous* count, so
@@ -149,13 +147,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
         tick = !tick;
       });
       split_parity_ = !split_parity_;
-      plan.crashes.reserve(zero_senders.size());
-      for (ProcessId v : zero_senders) {
-        CrashDirective c;
-        c.victim = v;
-        c.deliver_to = half;
-        plan.crashes.push_back(std::move(c));
-      }
+      crash_all(zero_senders, std::move(half));
     }
   }
   // Otherwise every receiver sits inside the coin-flip window already; let
@@ -174,8 +166,9 @@ void CoinBiasAdversary::note_deliveries(const WorldView& world,
   for (const auto& c : plan.crashes) receivers_.reset(c.victim);
   world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
-  deliver_into(world.n(), RoundTraffic{world.payloads(), &plan}, receivers_,
-               receipts_);
+  deliver_into(world.n(),
+               RoundTraffic{world.payloads(), &plan, &world.alive()},
+               receivers_, receipts_);
   receivers_.for_each_set(
       [&](std::size_t i) { last_count_[i] = receipts_[i].count; });
 }

@@ -35,12 +35,10 @@ FaultPlan ExactValencyAdversary::plan_round(const WorldView& world) {
       const std::uint64_t subsets = 1ULL << others.size();
       for (std::uint64_t m = 0; m < subsets; ++m) {
         FaultPlan plan;
-        CrashDirective c;
-        c.victim = s;
-        c.deliver_to = DynBitset(n);
+        DynBitset mask(n);
         for (std::size_t j = 0; j < others.size(); ++j)
-          if ((m >> j) & 1) c.deliver_to.set(others[j]);
-        plan.crashes.push_back(std::move(c));
+          if ((m >> j) & 1) mask.set(others[j]);
+        plan.crashes.push_back({s, std::move(mask)});
         candidates.push_back(std::move(plan));
       }
     }

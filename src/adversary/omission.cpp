@@ -176,8 +176,9 @@ void OmissionAdversary::note_deliveries(const WorldView& world,
   receivers_ = world.alive();
   world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
-  deliver_into(world.n(), RoundTraffic{world.payloads(), &plan}, receivers_,
-               receipts_);
+  deliver_into(world.n(),
+               RoundTraffic{world.payloads(), &plan, &world.alive()},
+               receivers_, receipts_);
   receivers_.for_each_set(
       [&](std::size_t i) { last_count_[i] = receipts_[i].count; });
 }

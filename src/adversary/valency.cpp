@@ -61,17 +61,16 @@ FaultPlan ValencySamplingAdversary::plan_round(const WorldView& world) {
   std::vector<FaultPlan> candidates;
   candidates.emplace_back();  // do nothing
 
+  // Trimmed messages reach nobody; every trim candidate shares one mask.
+  const SharedMask nobody = DynBitset(n);
   const auto trim_plan = [&](const std::vector<ProcessId>& pool,
                              std::uint32_t k) {
     FaultPlan plan;
     k = std::min<std::uint32_t>(
         {k, budget, static_cast<std::uint32_t>(pool.size())});
-    for (std::uint32_t i = 0; i < k; ++i) {
-      CrashDirective c;
-      c.victim = pool[i];
-      c.deliver_to = DynBitset(n);
-      plan.crashes.push_back(std::move(c));
-    }
+    plan.crashes.reserve(k);
+    for (std::uint32_t i = 0; i < k; ++i)
+      plan.crashes.push_back({pool[i], nobody});
     return plan;
   };
 
@@ -92,13 +91,10 @@ FaultPlan ValencySamplingAdversary::plan_round(const WorldView& world) {
       if (tick) half.set(i);
       tick = !tick;
     }
+    const SharedMask shared_half = std::move(half);
     FaultPlan plan;
-    for (ProcessId v : zero_senders) {
-      CrashDirective c;
-      c.victim = v;
-      c.deliver_to = half;
-      plan.crashes.push_back(std::move(c));
-    }
+    plan.crashes.reserve(zero_senders.size());
+    for (ProcessId v : zero_senders) plan.crashes.push_back({v, shared_half});
     candidates.push_back(std::move(plan));
   }
 

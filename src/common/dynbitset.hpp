@@ -117,6 +117,23 @@ class DynBitset {
     }
   }
 
+  /// Calls `f(index)` for each clear bit below size(), in increasing order.
+  /// Bits past size() are kept clear, so the last word's complement is
+  /// trimmed before it is walked.
+  template <typename F>
+  void for_each_clear(F&& f) const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+      std::uint64_t w = ~words_[wi];
+      if (wi + 1 == words_.size() && n_ % 64 != 0)
+        w &= ~0ULL >> (64 - (n_ % 64));
+      while (w) {
+        const int b = std::countr_zero(w);
+        f(wi * 64 + static_cast<std::size_t>(b));
+        w &= w - 1;
+      }
+    }
+  }
+
   /// 64-bit mix of the contents; used by memoization tables.
   std::uint64_t hash() const {
     std::uint64_t h = 0x243f6a8885a308d3ULL ^ n_;

@@ -275,12 +275,10 @@ class Evaluator {
                        "delivery-mask enumeration too large");
         for (std::uint64_t m = 0; m < subsets; ++m) {
           FaultPlan plan;
-          CrashDirective c;
-          c.victim = s;
-          c.deliver_to = DynBitset(post.n);
+          DynBitset mask(post.n);
           for (std::size_t j = 0; j < others.size(); ++j)
-            if ((m >> j) & 1) c.deliver_to.set(others[j]);
-          plan.crashes.push_back(std::move(c));
+            if ((m >> j) & 1) mask.set(others[j]);
+          plan.crashes.push_back({s, std::move(mask)});
           consider(plan);
         }
       }

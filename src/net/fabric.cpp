@@ -26,16 +26,27 @@ void merge(Receipt& r, const Receipt& group) {
   r.or_mask |= group.or_mask;
 }
 
+/// True iff `i` is outside the traffic's declared live set. A sender outside
+/// it would silently miss the aggregate, so every directive's sender is
+/// checked against it.
+bool outside_live(const RoundTraffic& traffic, std::size_t i) {
+  return traffic.live != nullptr && !traffic.live->test(i);
+}
+
 /// Checks the plan's shape against the payloads and returns the set of this
 /// round's crash victims.
 DynBitset validate(std::uint32_t n, const RoundTraffic& traffic) {
   SYNRAN_REQUIRE(traffic.payloads.size() == n, "payloads size != n");
+  SYNRAN_REQUIRE(traffic.live == nullptr || traffic.live->size() == n,
+                 "live mask has wrong size");
   DynBitset seen(n);
   if (traffic.plan == nullptr) return seen;
   for (const auto& c : traffic.plan->crashes) {
     SYNRAN_REQUIRE(c.victim < n, "crash victim out of range");
     SYNRAN_REQUIRE(traffic.payloads[c.victim].has_value(),
                    "crash victim is not sending this round");
+    SYNRAN_REQUIRE(!outside_live(traffic, c.victim),
+                   "crash victim is outside the live set");
     SYNRAN_REQUIRE(!seen.test(c.victim), "duplicate crash victim");
     SYNRAN_REQUIRE(c.deliver_to.size() == n, "deliver_to mask has wrong size");
     seen.set(c.victim);
@@ -45,6 +56,8 @@ DynBitset validate(std::uint32_t n, const RoundTraffic& traffic) {
     SYNRAN_REQUIRE(o.sender < n, "omission sender out of range");
     SYNRAN_REQUIRE(traffic.payloads[o.sender].has_value(),
                    "omission sender is not sending this round");
+    SYNRAN_REQUIRE(!outside_live(traffic, o.sender),
+                   "omission sender is outside the live set");
     SYNRAN_REQUIRE(!seen.test(o.sender),
                    "omission sender is also a crash victim");
     SYNRAN_REQUIRE(!omitted.test(o.sender), "duplicate omission sender");
@@ -57,6 +70,8 @@ DynBitset validate(std::uint32_t n, const RoundTraffic& traffic) {
     SYNRAN_REQUIRE(cd.sender < n, "corruption sender out of range");
     SYNRAN_REQUIRE(traffic.payloads[cd.sender].has_value(),
                    "corruption sender is not sending this round");
+    SYNRAN_REQUIRE(!outside_live(traffic, cd.sender),
+                   "corruption sender is outside the live set");
     SYNRAN_REQUIRE(!seen.test(cd.sender),
                    "corruption sender is also a crash victim");
     SYNRAN_REQUIRE(!omitted.test(cd.sender),
@@ -71,6 +86,17 @@ DynBitset validate(std::uint32_t n, const RoundTraffic& traffic) {
     }
   }
   return seen;
+}
+
+/// Calls `f(i)` for every slot that may hold a payload: the set bits of
+/// `traffic.live` when the caller supplies it, otherwise all `n` slots.
+template <typename F>
+void for_each_candidate(std::uint32_t n, const RoundTraffic& traffic, F&& f) {
+  if (traffic.live != nullptr) {
+    traffic.live->for_each_set(f);
+    return;
+  }
+  for (std::uint32_t i = 0; i < n; ++i) f(i);
 }
 
 /// Applies the plan's link-level faults — omitted deliveries and corrupted
@@ -91,14 +117,14 @@ void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
   // Per-bit population over the full-aggregate senders (every sender that is
   // sending and not crashed this round; omitted senders are among them).
   std::array<std::uint32_t, 64> base_bits{};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!traffic.payloads[i].has_value() || crashed.test(i)) continue;
+  for_each_candidate(n, traffic, [&](std::size_t i) {
+    if (!traffic.payloads[i].has_value() || crashed.test(i)) return;
     Payload bits = *traffic.payloads[i];
     while (bits != 0) {
       base_bits[static_cast<std::size_t>(std::countr_zero(bits))] += 1;
       bits &= bits - 1;
     }
-  }
+  });
 
   // Per-receiver dropped-sender counts, one lazily-sized column per payload
   // bit in use (a handful in practice: the value bits + the det flag).
@@ -165,13 +191,15 @@ void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
 /// reaches. A run of consecutive directives with equal masks (an adversary
 /// hiding a whole camp from one receiver set) is folded into one group
 /// receipt first and added once per receiver in the mask, which by `merge`
-/// equals adding the members one by one. Cost O(Σ over groups |mask| +
-/// directives·n/64), the second term for the mask comparisons.
+/// equals adding the members one by one. Directives that share one mask
+/// handle compare equal in O(1); only distinct handles compare words. Cost
+/// O(Σ over groups |mask| + directives) for shared masks, plus n/64 words
+/// per comparison of distinct handles.
 void apply_crash_groups(const RoundTraffic& traffic, const DynBitset& receivers,
                         std::span<Receipt> out) {
   const auto& crashes = traffic.plan->crashes;
   for (std::size_t g = 0; g < crashes.size();) {
-    const DynBitset& mask = crashes[g].deliver_to;
+    const SharedMask& mask = crashes[g].deliver_to;
     Receipt group{};
     do {
       accumulate(group, *traffic.payloads[crashes[g].victim]);
@@ -194,10 +222,10 @@ void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
   // Aggregate over senders that deliver everywhere. Omitted senders stay in
   // the aggregate; their dropped links are subtracted per receiver below.
   Receipt full{};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!traffic.payloads[i].has_value() || crashed_now.test(i)) continue;
+  for_each_candidate(n, traffic, [&](std::size_t i) {
+    if (!traffic.payloads[i].has_value() || crashed_now.test(i)) return;
     accumulate(full, *traffic.payloads[i]);
-  }
+  });
   receivers.for_each_set([&](std::size_t i) { out[i] = full; });
   if (traffic.plan == nullptr) return;
 
@@ -226,7 +254,7 @@ std::vector<Receipt> deliver_naive(std::uint32_t n, const RoundTraffic& traffic,
   for (std::uint32_t s = 0; s < n; ++s) {
     if (!traffic.payloads[s].has_value()) continue;
     const Payload p = *traffic.payloads[s];
-    const DynBitset* mask = nullptr;
+    const SharedMask* mask = nullptr;
     const DynBitset* drop = nullptr;
     const CorruptionDirective* corrupt = nullptr;
     if (traffic.plan != nullptr) {

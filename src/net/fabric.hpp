@@ -12,10 +12,13 @@
 // top. Consecutive crash victims with equal deliver_to masks form one group
 // whose payloads are folded once and added once per recipient, so an
 // adversary hiding a whole camp from one receiver set pays for the mask,
-// not for every victim. Total cost stays
-// O(n + Σ over groups |mask| + directives·n/64 + Σ|omitted and forged links|)
-// per round instead of the naive O(n²). A deliberately naive reference
-// implementation is provided for cross-checking in tests.
+// not for every victim; victims holding one shared mask handle are grouped
+// in O(1) each. Total cost stays
+// O(L + Σ over groups |mask| + directives + Σ|omitted and forged links|)
+// per round instead of the naive O(n²), where L is |traffic.live| when the
+// caller supplies a live set and n otherwise, plus n/64 words to validate
+// the plan and to compare distinct mask handles. A deliberately naive
+// reference implementation is provided for cross-checking in tests.
 #pragma once
 
 #include <optional>
@@ -35,6 +38,15 @@ struct RoundTraffic {
   /// present), and no process may appear in more than one directive family;
   /// the fabric checks this.
   const FaultPlan* plan = nullptr;
+  /// Optional size-n superset of the processes whose slot holds a payload
+  /// (the engine passes its alive set: crashed slots are empty). When given,
+  /// the full-sender aggregate and the link-fault base counts walk its set
+  /// bits instead of all n slots, so they cost O(|live|) rather than O(n);
+  /// every directive's sender must lie in it (checked). A payload outside
+  /// `live` would be missed, which the auditor's independent delivery count
+  /// catches in the engine. Null walks every slot, as `deliver_naive` always
+  /// does.
+  const DynBitset* live = nullptr;
 };
 
 /// Writes the receipt of every process in `receivers` (set bits) into its

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/dynbitset.hpp"
@@ -49,12 +51,57 @@ struct Receipt {
   friend bool operator==(const Receipt&, const Receipt&) = default;
 };
 
+/// An immutable recipient mask that many directives can share. Copies share
+/// one `DynBitset`, so an adversary that hides a whole camp from one
+/// receiver set builds the mask once per round and hands every victim a
+/// handle to it. Equality is true on shared identity before words are
+/// compared, which makes "same mask as the previous directive" O(1) for
+/// shared handles. A default-constructed mask is empty with size 0.
+class SharedMask {
+ public:
+  SharedMask() = default;
+  // Implicit on purpose: `{victim, DynBitset(n)}` initialisers keep working.
+  SharedMask(DynBitset bits)
+      : bits_(std::make_shared<const DynBitset>(std::move(bits))) {}
+
+  const DynBitset& bits() const { return bits_ ? *bits_ : empty(); }
+
+  std::size_t size() const { return bits().size(); }
+  bool test(std::size_t i) const { return bits().test(i); }
+  std::size_t count() const { return bits().count(); }
+  std::size_t count_and(const DynBitset& o) const {
+    return bits().count_and(o);
+  }
+  bool any() const { return bits().any(); }
+  bool none() const { return bits().none(); }
+  template <typename F>
+  void for_each_set(F&& f) const {
+    bits().for_each_set(std::forward<F>(f));
+  }
+
+  friend bool operator==(const SharedMask& a, const SharedMask& b) {
+    return a.bits_ == b.bits_ || a.bits() == b.bits();
+  }
+
+ private:
+  static const DynBitset& empty() {
+    static const DynBitset kEmpty;
+    return kEmpty;
+  }
+
+  std::shared_ptr<const DynBitset> bits_;
+};
+
 /// One process the adversary crashes during the current exchange phase, with
 /// the subset of recipients that still receive its round message (§3.1: "the
 /// adversary can decide which subset of its messages will be sent").
+/// `deliver_to` is a shared, immutable mask: directives that hide their
+/// victims from the same receivers should hold copies of one handle, which
+/// the fabric and the auditor then fold as one group in O(1) per directive.
+/// Build a mask in a local `DynBitset` and assign it once.
 struct CrashDirective {
   ProcessId victim = 0;
-  DynBitset deliver_to;  ///< size n; recipients that still get the message
+  SharedMask deliver_to;  ///< size n; recipients that still get the message
 };
 
 /// A transient, non-crashing fault: one live sender's round message is

@@ -123,8 +123,17 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Each level is a few stack frames, so unbounded nesting would let a
+      // small hostile document overflow the stack.
+      if (depth_ == kMaxJsonDepth)
+        return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                    " levels");
+      ++depth_;
+      auto v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       auto s = parse_string();
       if (!s.has_value()) return std::nullopt;
@@ -271,6 +280,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays and objects around pos_
   std::string error_;
 };
 

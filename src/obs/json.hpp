@@ -20,6 +20,10 @@
 
 namespace synran::obs {
 
+/// Deepest array/object nesting JsonValue::parse accepts: far above any
+/// schema the project writes, far below what exhausts a thread's stack.
+inline constexpr std::size_t kMaxJsonDepth = 512;
+
 /// A JSON value. Integers are kept distinct from doubles so counters
 /// serialize exactly (no 1e+06 for a message count).
 class JsonValue {
@@ -77,7 +81,9 @@ class JsonValue {
   std::string dump() const;
 
   /// Parses one JSON document. Returns nullopt on any syntax error or
-  /// trailing garbage; `error` (optional) receives a description.
+  /// trailing garbage; `error` (optional) receives a description ending in
+  /// the byte offset. Arrays and objects nested deeper than kMaxJsonDepth
+  /// are a syntax error, so no input can exhaust the stack.
   static std::optional<JsonValue> parse(std::string_view text,
                                         std::string* error = nullptr);
 

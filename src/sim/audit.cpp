@@ -46,41 +46,49 @@ void RunAuditor::on_phase_a(
       processes.size() != n_) {
     fail(round, "phase-A views disagree about the process count");
   }
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  // Silence of the dead, for every crashed slot at once: the occupied slots
+  // of the whole span must all be live ones. The whole-span count is one
+  // branch-free pass; the offender is searched for only on a mismatch.
+  std::size_t occupied = 0;
+  for (const auto& p : payloads)
+    occupied += static_cast<std::size_t>(p.has_value());
+  std::size_t live_occupied = 0;
+  // Reports the lowest-numbered violation: a live process's check may fire
+  // only after every crashed slot below it is known to be silent.
+  const auto fail_at = [&](std::size_t i, const std::string& what) {
+    check_dead_silent(round, payloads, i);
+    fail(round, what);
+  };
+  crashed_.for_each_clear([&](std::size_t i) {
+    live_occupied += static_cast<std::size_t>(payloads[i].has_value());
+    const bool halts = halted.test(i);
+    // Only halting, a past halt and strict latching read the verdict; any
+    // other live process has nothing to check this round.
+    if (!halts && !was_halted_[i] && !strict_decisions_) return;
     const Process& p = *processes[i];
-    if (crashed_.test(i)) {
-      if (payloads[i].has_value()) {
-        std::ostringstream os;
-        os << "process " << i << " broadcast a payload although it was "
-           << "crashed in round " << crash_round_[i]
-           << " — the dead must stay silent";
-        fail(round, os.str());
-      }
-      continue;  // internal state of the dead is unobservable in the model
-    }
     if (was_halted_[i]) {
-      if (!halted.test(i)) {
+      if (!halts) {
         std::ostringstream os;
         os << "process " << i << " resumed after halting — STOP is final";
-        fail(round, os.str());
+        fail_at(i, os.str());
       }
       if (!p.decided() || p.decision() != decision_was_[i]) {
         std::ostringstream os;
         os << "halted process " << i << " changed its verdict (halted with "
            << "decision " << to_int(decision_was_[i]) << ")";
-        fail(round, os.str());
+        fail_at(i, os.str());
       }
     }
-    if (halted.test(i)) {
+    if (halts) {
       if (payloads[i].has_value()) {
         std::ostringstream os;
         os << "halted process " << i << " kept broadcasting";
-        fail(round, os.str());
+        fail_at(i, os.str());
       }
       if (!p.decided()) {
         std::ostringstream os;
         os << "process " << i << " halted without deciding";
-        fail(round, os.str());
+        fail_at(i, os.str());
       }
     }
     if (strict_decisions_ && was_decided_[i]) {
@@ -88,18 +96,32 @@ void RunAuditor::on_phase_a(
         std::ostringstream os;
         os << "process " << i << " rescinded its decision under the "
            << "strict (latching) policy";
-        fail(round, os.str());
+        fail_at(i, os.str());
       }
       if (p.decision() != decision_was_[i]) {
         std::ostringstream os;
         os << "process " << i << " flipped its decision from "
            << to_int(decision_was_[i]) << " to " << to_int(p.decision());
-        fail(round, os.str());
+        fail_at(i, os.str());
       }
     }
     was_decided_[i] = p.decided();
-    if (p.decided()) decision_was_[i] = p.decision();
-    was_halted_[i] = halted.test(i);
+    if (was_decided_[i]) decision_was_[i] = p.decision();
+    was_halted_[i] = halts;
+  });
+  if (occupied != live_occupied) check_dead_silent(round, payloads, n_);
+}
+
+void RunAuditor::check_dead_silent(
+    Round round, std::span<const std::optional<Payload>> payloads,
+    std::size_t below) const {
+  for (std::size_t i = 0; i < below; ++i) {
+    if (!crashed_.test(i) || !payloads[i].has_value()) continue;
+    std::ostringstream os;
+    os << "process " << i << " broadcast a payload although it was "
+       << "crashed in round " << crash_round_[i]
+       << " — the dead must stay silent";
+    fail(round, os.str());
   }
 }
 
@@ -292,20 +314,22 @@ void RunAuditor::on_deliveries(
     std::span<const std::optional<Payload>> payloads,
     const DynBitset& active_receivers, std::uint64_t delivered) {
   SYNRAN_CHECK_MSG(n_ > 0, "RunAuditor used before begin()");
-  DynBitset crashed_now(n_);
-  for (const auto& c : plan.crashes) crashed_now.set(c.victim);
-
+  // Full senders are the occupied slots outside crashed_, which on_plan has
+  // already extended by this round's victims. Phase A verified that the
+  // slots of earlier crashes are empty, so this walks the auditor's own
+  // live set and never the engine's.
   std::uint64_t full_senders = 0;
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    if (payloads[i].has_value() && !crashed_now.test(i)) ++full_senders;
-  }
+  crashed_.for_each_clear([&](std::size_t i) {
+    full_senders += static_cast<std::uint64_t>(payloads[i].has_value());
+  });
   // Each crashed sender reaches deliver_to ∩ active. A run of consecutive
   // directives with equal masks (the grouping apply_crash_groups uses) is
-  // counted once and multiplied by its length.
+  // counted once and multiplied by its length; a shared handle compares
+  // equal in O(1).
   const auto& crashes = plan.crashes;
   std::uint64_t partial = 0;
   for (std::size_t g = 0; g < crashes.size();) {
-    const DynBitset& mask = crashes[g].deliver_to;
+    const SharedMask& mask = crashes[g].deliver_to;
     std::uint64_t run = 0;
     do {
       ++run;

@@ -25,14 +25,18 @@
 //
 // Violations throw InvariantError with a round-stamped narrative naming the
 // process and the budget arithmetic involved. The predicates are cheap, so
-// the engine keeps them always on. Per round they cost two O(n) passes over
-// the payload slots (silence of the dead, the full-sender recount), O(1)
-// per directive for the plan checks, and for the delivery count one
-// count_and per run of consecutive crash directives with equal masks plus
-// one mask comparison per directive (O(n/64) words each). An adversary
-// that hides a whole camp behind one mask therefore pays one popcount
-// pass, not one per victim. AuditedAdversary additionally lets tests and
-// fuzzers wrap any third-party Adversary and validate it in isolation.
+// the engine keeps them always on. Per round they cost one branch-free
+// count of the occupied payload slots (which verifies every crashed slot
+// is empty), O(live) for the walks over the auditor's own live set (the
+// complement of its crashed set) in phase A and in the full-sender
+// recount, O(halted) virtual decided()/decision() calls in phase A (every
+// live process in strict mode), O(1) per directive for the plan checks,
+// and for the delivery count one count_and (O(n/64) words) per run of
+// consecutive crash directives with equal masks. Directives sharing one
+// mask handle compare equal in O(1), so an adversary that hides a whole
+// camp behind one mask pays one popcount pass, not one per victim.
+// AuditedAdversary additionally lets tests and fuzzers wrap any
+// third-party Adversary and validate it in isolation.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +68,7 @@ class RunAuditor {
   /// After phase A: `payloads[i]` is what process i wants to broadcast
   /// (nullopt = halted or silent), `decided/decisions` its current verdict
   /// state, `halted` the voluntary-stop set. Checks silence of the dead and
-  /// decision latching.
+  /// decision latching. A violation names the lowest-numbered offender.
   void on_phase_a(Round round,
                   std::span<const std::optional<Payload>> payloads,
                   const DynBitset& halted,
@@ -87,7 +91,9 @@ class RunAuditor {
   /// Strict mode additionally requires decisions to latch: decided() never
   /// reverts and the decision bit never changes. Off by default because the
   /// paper's SynRan rescinds decisions until STOP (only halting freezes the
-  /// verdict); latching protocols (FloodMin, k-FloodMin) can opt in.
+  /// verdict); latching protocols (FloodMin, k-FloodMin) can opt in. Set it
+  /// before a run's first on_phase_a: only strict mode records every live
+  /// process's verdict each round.
   void set_strict_decisions(bool strict) { strict_decisions_ = strict; }
   /// The cap is fixed per execution in the engine but only visible to a
   /// wrapper through WorldView, hence a setter rather than a begin() arg.
@@ -119,6 +125,10 @@ class RunAuditor {
 
  private:
   [[noreturn]] void fail(Round round, const std::string& what) const;
+  /// Fails on the lowest crashed slot below `below` that holds a payload.
+  void check_dead_silent(Round round,
+                         std::span<const std::optional<Payload>> payloads,
+                         std::size_t below) const;
 
   std::uint32_t n_ = 0;
   std::uint32_t t_budget_ = 0;

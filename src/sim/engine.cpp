@@ -155,7 +155,8 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     active = alive;
     for (const auto& c : plan.crashes) active.reset(c.victim);
     halted.for_each_set([&](std::size_t i) { active.reset(i); });
-    deliver_into(n, RoundTraffic{payloads, &plan}, active, receipts);
+    // Crashed slots are empty, so the live set covers every sender.
+    deliver_into(n, RoundTraffic{payloads, &plan, &alive}, active, receipts);
     active.for_each_set([&](std::size_t i) {
       have_receipt[i] = 1;
       round_delivered += receipts[i].count;

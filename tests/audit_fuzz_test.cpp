@@ -39,10 +39,11 @@ class MalformedPlanAdversary final : public Adversary {
       c.victim = static_cast<ProcessId>(rng_.below(w.n()));
       const std::uint32_t mask_size =
           rng_.below(20) == 0 ? w.n() + 1 : w.n();
-      c.deliver_to = DynBitset(mask_size);
+      DynBitset mask(mask_size);
       for (std::uint32_t b = 0; b < mask_size; ++b) {
-        if (rng_.flip()) c.deliver_to.set(b);
+        if (rng_.flip()) mask.set(b);
       }
+      c.deliver_to = std::move(mask);
       plan.crashes.push_back(std::move(c));
     }
     const std::uint64_t m = rng_.below(3);

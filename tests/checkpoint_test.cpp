@@ -148,6 +148,27 @@ TEST(ResilienceCkpt, TornTailKeepsTheValidPrefix) {
   fs::remove(path);
 }
 
+TEST(ObsJsonDepth, CheckpointLedgerTreatsANestedLineAsATornTail) {
+  // The ledger behind --resume parses every line; a hostile final line
+  // nested past the parser's depth cap is a torn tail, not a stack overflow.
+  for (const std::size_t depth : {100000u, 1000000u}) {
+    const std::string path = temp_path("nested.jsonl");
+    fs::remove(path);
+    {
+      obs::CheckpointLedger ledger(path, "unit", 7);
+      ledger.record(obs::CheckpointCell{0, "k0", obs::JsonValue(true)});
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      out << std::string(depth, '[') << "\n";
+    }
+    obs::CheckpointLedger reloaded(path, "unit", 7);
+    EXPECT_EQ(reloaded.loaded(), 1u) << "depth " << depth;
+    EXPECT_NE(reloaded.find(0, "k0"), nullptr) << "depth " << depth;
+    fs::remove(path);
+  }
+}
+
 TEST(ResilienceCkpt, ForeignHeaderDiscardsTheFileCells) {
   const std::string path = temp_path("foreign.jsonl");
   fs::remove(path);

@@ -334,6 +334,32 @@ TEST(DynBitsetTest, CountAndMatchesMaterializedIntersection) {
   }
 }
 
+TEST(DynBitsetTest, ForEachClearVisitsTheComplementInOrder) {
+  // Word-boundary sizes; the walk must stop at size() even though the last
+  // word's unused high bits are clear.
+  Xoshiro256 rng(2031);
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      DynBitset b(n);
+      for (std::size_t i = 0; i < n; ++i)
+        if (rng.below(3) == 0) b.set(i);
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < n; ++i)
+        if (!b.test(i)) expected.push_back(i);
+      std::vector<std::size_t> seen;
+      b.for_each_clear([&](std::size_t i) { seen.push_back(i); });
+      EXPECT_EQ(seen, expected) << "n=" << n << " trial " << trial;
+    }
+    std::vector<std::size_t> seen;
+    DynBitset(n, true).for_each_clear(
+        [&](std::size_t i) { seen.push_back(i); });
+    EXPECT_TRUE(seen.empty()) << "n=" << n;
+    DynBitset(n).for_each_clear([&](std::size_t i) { seen.push_back(i); });
+    ASSERT_EQ(seen.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], i);
+  }
+}
+
 // ------------------------------------------------------------------- Table
 
 TEST(TableTest, AlignsColumnsAndPrintsTitle) {

@@ -324,5 +324,44 @@ TEST(ComparisonProperty, SynRanBeatsDeterministicForLargeT) {
   EXPECT_EQ(det.rounds_to_decision, t + 1);
 }
 
+TEST(PaperClaimE1b, ForcedRoundsTrackTheTightBoundAtMaximalResilience) {
+  // E1b, t = n − 1: the coin-bias adversary forces SynRan past Theorem 1's
+  // lower-bound curve, and the forced rounds stay within a constant factor
+  // of Theorem 3's tight bound f(n, t) that does not grow with n. At seed 7
+  // the means are 11.19, 17.19 and 24.31 rounds against tight bounds of
+  // 5.20, 9.38 and 17.03 (ratios 2.15, 1.83, 1.43); the same cells print
+  // from `synran run --n=N --t=N-1 --adversary=coinbias --pattern=half
+  // --reps=32 --seed=7` with N-1 written out (e.g. --n=64 --t=63).
+  double previous_ratio = 0.0;
+  for (const std::uint32_t n : {64u, 256u, 1024u}) {
+    const std::uint32_t t = n - 1;
+    RepeatSpec spec;
+    spec.n = n;
+    spec.pattern = InputPattern::Half;
+    spec.reps = 32;
+    spec.seed = 7;
+    spec.engine.t_budget = t;
+    spec.engine.max_rounds = 100000;
+    SynRanFactory synran;
+    const auto stats = run_repeated(
+        synran,
+        [](std::uint64_t seed) {
+          return std::make_unique<CoinBiasAdversary>(
+              CoinBiasOptions{0.55, true, seed});
+        },
+        spec);
+    ASSERT_TRUE(stats.all_safe()) << "n=" << n;
+    const double measured = stats.rounds_to_decision().mean();
+    EXPECT_GE(measured, theory::lower_bound_rounds(n, t)) << "n=" << n;
+    const double ratio = measured / theory::tight_round_bound(n, t);
+    EXPECT_GE(ratio, 1.0) << "n=" << n;
+    EXPECT_LE(ratio, 3.0) << "n=" << n;
+    if (previous_ratio > 0.0) {
+      EXPECT_LE(ratio, previous_ratio) << "ratio rose with n at n=" << n;
+    }
+    previous_ratio = ratio;
+  }
+}
+
 }  // namespace
 }  // namespace synran

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -682,6 +684,249 @@ TEST_P(GroupedCrashFabricEquivalence, FastMatchesNaive) {
 INSTANTIATE_TEST_SUITE_P(
     GroupedCrashTraffic, GroupedCrashFabricEquivalence,
     ::testing::Range<std::uint64_t>(1, kGroupedCrashSeeds + 1));
+
+// ------------------------------------------------------------- SharedMask
+
+TEST(SharedMaskTest, ConstructsImplicitlyFromADynBitset) {
+  static_assert(std::is_convertible_v<DynBitset, SharedMask>);
+  static_assert(std::is_convertible_v<const DynBitset&, SharedMask>);
+  DynBitset bits(70);
+  bits.set(3);
+  bits.set(69);
+  const CrashDirective c{4, bits};  // the aggregate initialiser still works
+  EXPECT_EQ(c.deliver_to.bits(), bits);
+  EXPECT_EQ(c.deliver_to.size(), 70u);
+  EXPECT_TRUE(c.deliver_to.test(69));
+  EXPECT_FALSE(c.deliver_to.test(4));
+  EXPECT_EQ(c.deliver_to.count(), 2u);
+  EXPECT_EQ(c.deliver_to.count_and(DynBitset(70, true)), 2u);
+  EXPECT_TRUE(c.deliver_to.any());
+  EXPECT_FALSE(c.deliver_to.none());
+  std::vector<std::size_t> seen;
+  c.deliver_to.for_each_set([&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 69}));
+  bits.set(5);  // the handle holds its own copy
+  EXPECT_EQ(c.deliver_to.count(), 2u);
+}
+
+TEST(SharedMaskTest, DefaultIsEmptyWithSizeZero) {
+  const SharedMask none;
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.count(), 0u);
+  EXPECT_TRUE(none.none());
+  EXPECT_EQ(none, SharedMask());
+  EXPECT_EQ(none, SharedMask(DynBitset()));
+  EXPECT_FALSE(none == SharedMask(DynBitset(1)));
+}
+
+TEST(SharedMaskTest, CopiesShareStorage) {
+  const SharedMask a = DynBitset(130, true);
+  const SharedMask b = a;
+  SharedMask c;
+  c = b;
+  EXPECT_EQ(&a.bits(), &b.bits());
+  EXPECT_EQ(&a.bits(), &c.bits());
+  const SharedMask moved = std::move(c);
+  EXPECT_EQ(&moved.bits(), &a.bits());
+}
+
+TEST(SharedMaskTest, EqualityByIdentityAndByContent) {
+  DynBitset bits(65);
+  bits.set(64);
+  const SharedMask a = bits;
+  const SharedMask same = a;
+  const SharedMask twin = bits;  // equal words, separate storage
+  DynBitset other_bits(65);
+  other_bits.set(63);
+  const SharedMask other = other_bits;
+  EXPECT_EQ(&a.bits(), &same.bits());
+  EXPECT_NE(&a.bits(), &twin.bits());
+  EXPECT_EQ(a, same);
+  EXPECT_EQ(a, twin);
+  EXPECT_FALSE(a == other);
+  EXPECT_FALSE(a == SharedMask(DynBitset(64)));  // sizes differ
+}
+
+// Property: the fast path equals the naive one, and a caller-supplied live
+// set changes nothing, when crash directives share mask handles. Each plan
+// draws its masks from a palette of handles: the empty and all-ones masks,
+// two random ones, and a twin of one of them (equal words, separate
+// storage). Directives reuse a handle in runs and after other handles
+// (A, B, A), so grouping by identity and by content are both exercised;
+// omissions and corruptions ride along. `live` is given as exactly the
+// senders, as the senders plus random extras, and as all ones.
+struct SharedMaskCase {
+  std::uint32_t n = 0;
+  std::vector<std::optional<Payload>> payloads;
+  FaultPlan plan;
+  DynBitset receivers;
+  DynBitset senders;
+  std::vector<std::size_t> palette_index;  ///< per crash directive
+};
+
+constexpr std::uint32_t kSharedMaskSizes[] = {3, 63, 64, 65, 130, 200};
+constexpr std::uint64_t kSharedMaskTrials = 12;
+
+SharedMaskCase shared_mask_case(std::uint32_t n, std::uint64_t trial) {
+  Xoshiro256 rng(n * 0x9e3779b97f4a7c15ULL + trial * 31 + 17);
+  SharedMaskCase c;
+  c.n = n;
+  c.payloads.resize(n);
+  c.senders = DynBitset(n);
+  std::vector<ProcessId> senders;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (rng.uniform() < 0.8) {
+      c.payloads[i] = rng.next() & 0x7;
+      c.senders.set(i);
+      senders.push_back(i);
+    }
+  }
+  std::vector<SharedMask> palette{DynBitset(n), DynBitset(n, true)};
+  for (int k = 0; k < 2; ++k) {
+    DynBitset m(n);
+    for (std::uint32_t r = 0; r < n; ++r)
+      if (rng.flip()) m.set(r);
+    palette.emplace_back(std::move(m));
+  }
+  palette.emplace_back(palette[2 + rng.below(2)].bits());  // a twin
+
+  c.receivers = DynBitset(n, true);
+  std::size_t used = 0;
+  const std::size_t crashes = rng.below(senders.size() + 1);
+  while (used < crashes) {
+    const std::size_t pick = rng.below(palette.size());
+    const std::size_t run = 1 + rng.below(4);
+    for (std::size_t k = 0; k < run && used < crashes; ++k, ++used) {
+      const std::size_t j = used + rng.below(senders.size() - used);
+      std::swap(senders[used], senders[j]);
+      c.plan.crashes.push_back({senders[used], palette[pick]});
+      c.palette_index.push_back(pick);
+      c.receivers.reset(senders[used]);
+    }
+  }
+  if (used < senders.size() && rng.flip()) {
+    const std::size_t j = used + rng.below(senders.size() - used);
+    std::swap(senders[used], senders[j]);
+    DynBitset drop(n);
+    for (std::uint32_t r = 0; r < n; ++r)
+      if (rng.uniform() < 0.3) drop.set(r);
+    c.plan.omissions.push_back({senders[used], drop});
+    ++used;
+  }
+  if (used < senders.size() && rng.flip()) {
+    CorruptionDirective cd;
+    cd.sender = senders[used + rng.below(senders.size() - used)];
+    cd.forgeries.push_back({static_cast<ProcessId>(rng.below(n)),
+                            rng.next() & 0x3ff});
+    c.plan.corruptions.push_back(std::move(cd));
+  }
+  for (std::uint32_t i = 0; i < n; ++i)
+    if (rng.uniform() < 0.2) c.receivers.reset(i);
+  return c;
+}
+
+TEST(SharedMaskFabricTest, GeneratorReachesSharedTwinAndEdgeMasks) {
+  int shared_runs = 0, interleaved = 0, twins = 0, empty = 0, full = 0;
+  for (const std::uint32_t n : kSharedMaskSizes) {
+    for (std::uint64_t trial = 0; trial < kSharedMaskTrials; ++trial) {
+      const SharedMaskCase c = shared_mask_case(n, trial);
+      const auto& cr = c.plan.crashes;
+      const auto shared = [&](std::size_t a, std::size_t b) {
+        return &cr[a].deliver_to.bits() == &cr[b].deliver_to.bits();
+      };
+      for (std::size_t k = 1; k < cr.size(); ++k) {
+        if (shared(k, k - 1)) ++shared_runs;
+        if (!shared(k, k - 1) && cr[k].deliver_to == cr[k - 1].deliver_to)
+          ++twins;
+        for (std::size_t e = 0; e + 1 < k; ++e) {
+          if (shared(e, k) && !shared(k - 1, k)) {
+            ++interleaved;
+            break;
+          }
+        }
+      }
+      for (const auto& d : cr) {
+        if (d.deliver_to.none()) ++empty;
+        if (d.deliver_to.count() == n) ++full;
+      }
+    }
+  }
+  EXPECT_GE(shared_runs, 20);
+  EXPECT_GE(interleaved, 10);
+  EXPECT_GE(twins, 1);
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(full, 0);
+}
+
+class SharedMaskFabricEquivalence
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(SharedMaskFabricEquivalence, LivePathMatchesNullPathAndNaive) {
+  const std::uint32_t n = GetParam();
+  for (std::uint64_t trial = 0; trial < kSharedMaskTrials; ++trial) {
+    const SharedMaskCase c = shared_mask_case(n, trial);
+    const RoundTraffic null_live{c.payloads, &c.plan};
+    const auto naive = deliver_naive(n, null_live, c.receivers);
+    const auto fast = deliver(n, null_live, c.receivers);
+    for (std::uint32_t i = 0; i < n; ++i)
+      ASSERT_EQ(fast[i], naive[i]) << "n=" << n << " trial " << trial
+                                   << " receiver " << i;
+
+    Xoshiro256 rng(trial + 101);
+    DynBitset extras = c.senders;
+    for (std::uint32_t i = 0; i < n; ++i)
+      if (rng.flip()) extras.set(i);
+    const DynBitset everyone(n, true);
+    const std::array<const DynBitset*, 3> lives{&c.senders, &extras,
+                                                &everyone};
+    for (const DynBitset* live : lives) {
+      const RoundTraffic with_live{c.payloads, &c.plan, live};
+      EXPECT_EQ(deliver_naive(n, with_live, c.receivers), naive);
+      const Receipt sentinel{7, 7, 7, 0x7777};
+      std::vector<Receipt> into(n, sentinel);
+      deliver_into(n, with_live, c.receivers, into);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(into[i], c.receivers.test(i) ? fast[i] : sentinel)
+            << "n=" << n << " trial " << trial << " live "
+            << live->count() << " slot " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedMaskTraffic, SharedMaskFabricEquivalence,
+                         ::testing::ValuesIn(kSharedMaskSizes));
+
+TEST(SharedMaskFabricTest, LiveSetMustCoverEveryDirectiveSender) {
+  const auto payloads = bits_payloads({1, 0, 1, 0});
+  DynBitset receivers(4, true);
+  DynBitset live(4, true);
+  live.reset(2);
+
+  FaultPlan crash;
+  crash.crashes.push_back({2, DynBitset(4)});
+  receivers.reset(2);
+  EXPECT_THROW(deliver(4, RoundTraffic{payloads, &crash, &live}, receivers),
+               ArgumentError);
+  FaultPlan omit;
+  omit.omissions.push_back({2, DynBitset(4)});
+  EXPECT_THROW(deliver(4, RoundTraffic{payloads, &omit, &live}, receivers),
+               ArgumentError);
+  FaultPlan corrupt;
+  corrupt.corruptions.push_back({2, {{0, payload::kSupports1}}});
+  EXPECT_THROW(deliver(4, RoundTraffic{payloads, &corrupt, &live}, receivers),
+               ArgumentError);
+
+  const DynBitset short_live(3, true);
+  EXPECT_THROW(
+      deliver(4, RoundTraffic{payloads, nullptr, &short_live}, receivers),
+      ArgumentError);
+  // A sender outside `live` with no directive is simply not walked: `live`
+  // is the caller's promise, and the engine's auditor recounts deliveries
+  // without it.
+  const auto r = deliver(4, RoundTraffic{payloads, nullptr, &live}, receivers);
+  EXPECT_EQ(r[0].count, 3u);
+}
 
 }  // namespace
 }  // namespace synran

@@ -87,6 +87,57 @@ TEST(ObsJson, ParseRejectsGarbage) {
   }
 }
 
+// Depth-cap suite: hostile nesting is a syntax error with an offset, never a
+// stack overflow.
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(ObsJsonDepth, AcceptsTheCapAndRejectsOneLevelMore) {
+  std::string err;
+  EXPECT_TRUE(
+      JsonValue::parse(nested_arrays(obs::kMaxJsonDepth), &err).has_value())
+      << err;
+  EXPECT_FALSE(JsonValue::parse(nested_arrays(obs::kMaxJsonDepth + 1), &err)
+                   .has_value());
+  // The offset is that of the bracket that would open one level too many.
+  EXPECT_EQ(err, "nesting deeper than 512 levels at offset 512");
+
+  // Objects and mixed nesting count toward the same cap.
+  std::string mixed;
+  for (std::size_t d = 0; d <= obs::kMaxJsonDepth; ++d)
+    mixed += d % 2 == 0 ? "{\"k\":" : "[";
+  EXPECT_FALSE(JsonValue::parse(mixed, &err).has_value());
+  EXPECT_NE(err.find("nesting deeper than 512 levels"), std::string::npos)
+      << err;
+}
+
+std::string nested_objects(std::size_t depth) {
+  std::string doc;
+  doc.reserve(5 * depth);
+  for (std::size_t d = 0; d < depth; ++d) doc += "{\"k\":";
+  return doc;
+}
+
+TEST(ObsJsonDepth, HundredThousandLevelsFailCleanly) {
+  std::string err;
+  EXPECT_FALSE(JsonValue::parse(std::string(100000, '['), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 levels at offset 512");
+  EXPECT_FALSE(JsonValue::parse(nested_arrays(100000), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 levels at offset 512");
+  EXPECT_FALSE(JsonValue::parse(nested_objects(100000), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 levels at offset 2560");
+}
+
+TEST(ObsJsonDepth, MillionLevelsFailCleanly) {
+  std::string err;
+  EXPECT_FALSE(JsonValue::parse(std::string(1000000, '['), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 levels at offset 512");
+  EXPECT_FALSE(JsonValue::parse(nested_objects(1000000), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 levels at offset 2560");
+}
+
 // --------------------------------------------------------------- metrics
 
 TEST(ObsMetrics, CounterGaugeHistogramBasics) {

@@ -285,6 +285,22 @@ TEST(Cache, QuarantinesTornAndMisnamedEntriesOnRecover) {
   EXPECT_TRUE(cache.lookup("good-key").has_value());
 }
 
+TEST(Cache, QuarantinesADeeplyNestedEntryOnRecover) {
+  const std::string dir = temp_dir("cache_nested");
+  {
+    ResultCache cache({dir, 0, 3, 0});
+    cache.store("good-key", JsonValue::object());
+  }
+  // 200,000 open brackets once overflowed the parser's stack at start-up.
+  write_file(dir + "/00000000deadbeef.ckpt", std::string(200000, '['));
+
+  ResultCache cache({dir, 0, 3, 0});
+  EXPECT_EQ(cache.quarantined(), 1u);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_TRUE(fs::exists(dir + "/00000000deadbeef.ckpt.quarantined"));
+  EXPECT_TRUE(cache.lookup("good-key").has_value());
+}
+
 TEST(Cache, EvictsLeastRecentlyUsedPastTheLimit) {
   ResultCache cache({temp_dir("cache_evict"), 2, 3, 0});
   JsonValue payload = JsonValue::object();
@@ -363,6 +379,27 @@ TEST(Server, PingStatsAndBadRequestOverOneStream) {
   const JsonValue stats = parse_json(result.bodies[3]);
   EXPECT_TRUE(stats.find("ok")->as_bool());
   EXPECT_NE(stats.find("result")->find("counters"), nullptr);
+}
+
+TEST(Server, DeeplyNestedFrameIsABadRequestNotACrash) {
+  const std::string dir = temp_dir("srv_nested");
+  Server server(test_options(dir + "/cache"));
+  // A 50,000-deep body is well inside the frame cap; it once overflowed the
+  // JSON parser's stack and killed the daemon.
+  const auto result = serve_over_files(
+      server, dir,
+      {std::string(50000, '['),
+       R"({"schema":"synran-req/1","id":"after","cmd":"ping"})"});
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.bodies.size(), 2u);
+
+  const JsonValue nested = parse_json(result.bodies[0]);
+  EXPECT_FALSE(nested.find("ok")->as_bool());
+  EXPECT_EQ(nested.find("error")->find("code")->as_string(), "bad_request");
+
+  const JsonValue ping = parse_json(result.bodies[1]);
+  EXPECT_EQ(ping.find("id")->as_string(), "after");
+  EXPECT_TRUE(ping.find("result")->find("pong")->as_bool());
 }
 
 TEST(Server, ComputeHitAndRestartResponsesAreByteIdentical) {

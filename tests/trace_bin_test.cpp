@@ -288,6 +288,24 @@ TEST(TraceBinHostile, EveryTruncationFailsCleanlyOrEndsAtABoundary) {
   EXPECT_TRUE(reads_cleanly(full));
 }
 
+TEST(ObsJsonDepth, Trace1ReaderRejectsDeepNestingWithAnIoError) {
+  // A synran-trace/1 line nested past the JSON parser's depth cap is a
+  // malformed line like any other.
+  for (const std::size_t depth : {100000u, 1000000u}) {
+    std::istringstream in(std::string(depth, '[') + "\n");
+    obs::JsonlTraceReader reader(in);
+    obs::TraceRecord record;
+    try {
+      reader.next(record);
+      ADD_FAILURE() << "depth " << depth << " was accepted";
+    } catch (const obs::IoError& err) {
+      EXPECT_NE(std::string(err.what()).find("nesting deeper than 512"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 TEST(TraceBinHostile, BadMagicIsRejected) {
   std::string data = to_binary(batch_records());
   data[0] ^= 0x01;

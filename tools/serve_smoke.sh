@@ -4,8 +4,8 @@
 #
 #   1.  ping over the socket
 #   2.  run (cache miss), replayed run (cache hit) — byte-identical
-#   3.  malformed config and non-JSON bodies — structured bad_request,
-#       daemon stays up
+#   3.  malformed config, non-JSON and 50,000-deep nested bodies —
+#       structured bad_request, daemon stays up and answers the next ping
 #   4.  per-request deadline on an oversized batch — deadline_exceeded,
 #       daemon stays up
 #   5.  overload with --max-queue=1 — exactly the excess is shed
@@ -98,6 +98,14 @@ grep -q '"id":"bad"' bad.resp || fail "rejection lost the request id"
 frame 'this is not json' > notjson.req
 request notjson.req notjson.resp
 grep -q '"code":"bad_request"' notjson.resp || fail "non-JSON not rejected"
+# Nesting far past the parser's depth cap, then a ping on the same stream.
+NESTED=$(printf '%*s' 50000 '' | tr ' ' '[')
+{ frame "$NESTED"; frame '{"schema":"synran-req/1","id":"ping3","cmd":"ping"}'; } \
+  > nested.req
+request nested.req nested.resp
+grep -q '"code":"bad_request"' nested.resp || fail "nested body not rejected"
+grep -q '"id":"ping3"' nested.resp && grep -q '"pong":true' nested.resp \
+  || fail "no ping answer after a nested body: $(head -c 300 nested.resp)"
 
 # ---- 4. deadline-exceeded, daemon keeps serving ----------------------------
 SLOW='{"schema":"synran-req/1","id":"slow","cmd":"run","deadline_ms":50,"config":{"model":"sync","n":32,"reps":100000000,"seed":2}}'
