@@ -7,14 +7,15 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "adversary/basic.hpp"
 #include "adversary/coinbias.hpp"
+#include "obs/trace_record.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
 #include "runner/narrate.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace synran;
@@ -33,18 +34,20 @@ int main(int argc, char** argv) {
     inner = std::make_unique<CoinBiasAdversary>(
         CoinBiasOptions{0.55, true, seed});
 
-  TracingAdversary tracer(*inner);
+  std::vector<obs::TraceRecord> records;
+  obs::TraceRecorder recorder(records);
   SynRanFactory factory;
   EngineOptions opts;
   opts.t_budget = t;
   opts.seed = seed;
   opts.max_rounds = 100000;
+  opts.observer = &recorder;
 
   Xoshiro256 rng(seed);
   const auto inputs = make_inputs(n, InputPattern::Half, rng);
-  const auto res = run_once(factory, inputs, tracer, opts);
+  const auto res = run_once(factory, inputs, *inner, opts);
 
-  narrate(tracer.trace(), std::cout);
+  narrate(records, std::cout);
 
   std::cout << "\noutcome: " << (res.terminated ? "terminated" : "CAPPED")
             << ", decision "
@@ -56,7 +59,7 @@ int main(int argc, char** argv) {
             << " messages delivered, agreement "
             << (res.agreement ? "yes" : "NO") << "\n";
 
-  const auto report = check_model_invariants(tracer.trace());
+  const auto report = check_model_invariants(records);
   std::cout << "model invariants: " << (report.ok ? "all hold" : "VIOLATED")
             << "\n";
   return res.agreement && report.ok ? 0 : 1;

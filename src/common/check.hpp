@@ -23,6 +23,14 @@ class ArgumentError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// Streams `parts` into one string, for diagnostics.
+template <typename... Parts>
+std::string str_cat(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
 namespace detail {
 [[noreturn]] inline void check_failed(const char* kind, const char* expr,
                                       const char* file, int line,

@@ -26,68 +26,6 @@ void merge(Receipt& r, const Receipt& group) {
   r.or_mask |= group.or_mask;
 }
 
-/// True iff `i` is outside the traffic's declared live set. A sender outside
-/// it would silently miss the aggregate, so every directive's sender is
-/// checked against it.
-bool outside_live(const RoundTraffic& traffic, std::size_t i) {
-  return traffic.live != nullptr && !traffic.live->test(i);
-}
-
-/// Checks the plan's shape against the payloads and returns the set of this
-/// round's crash victims.
-DynBitset validate(std::uint32_t n, const RoundTraffic& traffic) {
-  SYNRAN_REQUIRE(traffic.payloads.size() == n, "payloads size != n");
-  SYNRAN_REQUIRE(traffic.live == nullptr || traffic.live->size() == n,
-                 "live mask has wrong size");
-  DynBitset seen(n);
-  if (traffic.plan == nullptr) return seen;
-  for (const auto& c : traffic.plan->crashes) {
-    SYNRAN_REQUIRE(c.victim < n, "crash victim out of range");
-    SYNRAN_REQUIRE(traffic.payloads[c.victim].has_value(),
-                   "crash victim is not sending this round");
-    SYNRAN_REQUIRE(!outside_live(traffic, c.victim),
-                   "crash victim is outside the live set");
-    SYNRAN_REQUIRE(!seen.test(c.victim), "duplicate crash victim");
-    SYNRAN_REQUIRE(c.deliver_to.size() == n, "deliver_to mask has wrong size");
-    seen.set(c.victim);
-  }
-  DynBitset omitted(n);
-  for (const auto& o : traffic.plan->omissions) {
-    SYNRAN_REQUIRE(o.sender < n, "omission sender out of range");
-    SYNRAN_REQUIRE(traffic.payloads[o.sender].has_value(),
-                   "omission sender is not sending this round");
-    SYNRAN_REQUIRE(!outside_live(traffic, o.sender),
-                   "omission sender is outside the live set");
-    SYNRAN_REQUIRE(!seen.test(o.sender),
-                   "omission sender is also a crash victim");
-    SYNRAN_REQUIRE(!omitted.test(o.sender), "duplicate omission sender");
-    SYNRAN_REQUIRE(o.drop_for.size() == n, "drop_for mask has wrong size");
-    omitted.set(o.sender);
-  }
-  DynBitset corrupted(n);
-  DynBitset targets(n);
-  for (const auto& cd : traffic.plan->corruptions) {
-    SYNRAN_REQUIRE(cd.sender < n, "corruption sender out of range");
-    SYNRAN_REQUIRE(traffic.payloads[cd.sender].has_value(),
-                   "corruption sender is not sending this round");
-    SYNRAN_REQUIRE(!outside_live(traffic, cd.sender),
-                   "corruption sender is outside the live set");
-    SYNRAN_REQUIRE(!seen.test(cd.sender),
-                   "corruption sender is also a crash victim");
-    SYNRAN_REQUIRE(!omitted.test(cd.sender),
-                   "corruption sender is also an omission sender");
-    SYNRAN_REQUIRE(!corrupted.test(cd.sender), "duplicate corruption sender");
-    corrupted.set(cd.sender);
-    targets.clear_all();
-    for (const auto& fg : cd.forgeries) {
-      SYNRAN_REQUIRE(fg.target < n, "forgery target out of range");
-      SYNRAN_REQUIRE(!targets.test(fg.target), "duplicate forgery target");
-      targets.set(fg.target);
-    }
-  }
-  return seen;
-}
-
 /// Calls `f(i)` for every slot that may hold a payload: the set bits of
 /// `traffic.live` when the caller supplies it, otherwise all `n` slots.
 template <typename F>
@@ -211,11 +149,128 @@ void apply_crash_groups(const RoundTraffic& traffic, const DynBitset& receivers,
   }
 }
 
+/// The plan's crash victims, or ArgumentError naming its first violation.
+DynBitset checked_victims(std::uint32_t n, const RoundTraffic& traffic) {
+  DynBitset victims;
+  if (const std::string why = check_plan(n, traffic, victims); !why.empty())
+    throw ArgumentError("deliver: " + why);
+  return victims;
+}
+
 }  // namespace
+
+std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
+                       DynBitset& victims) {
+  if (traffic.payloads.size() != n)
+    return str_cat("payload span holds ", traffic.payloads.size(),
+                   " slots, expected n=", n);
+  if (traffic.live != nullptr && traffic.live->size() != n)
+    return str_cat("live set has size ", traffic.live->size(),
+                   ", expected n=", n);
+  if (victims.size() != n) victims = DynBitset(n);
+  victims.clear_all();
+  if (traffic.plan == nullptr) return {};
+  const FaultPlan& plan = *traffic.plan;
+  const auto& sends = traffic.payloads;
+  const auto outside_live = [&](ProcessId p) {
+    return traffic.live != nullptr && !traffic.live->test(p);
+  };
+
+  for (const auto& c : plan.crashes) {
+    if (c.victim >= n)
+      return str_cat("crash victim ", c.victim, " is not a process (n=", n,
+                     ")");
+    if (victims.test(c.victim))
+      return str_cat("process ", c.victim, " appears twice in one fault plan");
+    if (!sends[c.victim])
+      return str_cat("plan crashes process ", c.victim,
+                     ", which is not sending this round (crashing the "
+                     "silent buys the adversary nothing and is outside the "
+                     "model)");
+    if (outside_live(c.victim))
+      return str_cat("crash victim ", c.victim, " is outside the live set");
+    if (c.deliver_to.size() != n)
+      return str_cat("deliver_to mask for victim ", c.victim, " has size ",
+                     c.deliver_to.size(), ", expected n=", n);
+    victims.set(c.victim);
+  }
+  // A crash-only plan is done here, having allocated nothing.
+  if (plan.omissions.empty() && plan.corruptions.empty()) return {};
+
+  DynBitset omitted(n);
+  for (const auto& o : plan.omissions) {
+    if (o.sender >= n)
+      return str_cat("omission sender ", o.sender, " is not a process (n=",
+                     n, ")");
+    if (victims.test(o.sender))
+      return str_cat("process ", o.sender, " is both crashed and omitted in ",
+                     "one fault plan — a crash's deliver_to already fixes ",
+                     "its delivery");
+    if (omitted.test(o.sender))
+      return str_cat("omission sender ", o.sender,
+                     " appears twice in one fault plan");
+    if (!sends[o.sender])
+      return str_cat("plan omits messages of process ", o.sender,
+                     ", which is not sending this round (an omission for a "
+                     "non-sender suppresses nothing and is outside the "
+                     "model)");
+    if (outside_live(o.sender))
+      return str_cat("omission sender ", o.sender, " is outside the live set");
+    if (o.drop_for.size() != n)
+      return str_cat("drop_for mask for omission sender ", o.sender,
+                     " has size ", o.drop_for.size(), ", expected n=", n);
+    omitted.set(o.sender);
+  }
+
+  DynBitset corrupted(plan.corruptions.empty() ? 0 : n);
+  DynBitset targets(corrupted.size());
+  for (const auto& cd : plan.corruptions) {
+    if (cd.sender >= n)
+      return str_cat("corruption sender ", cd.sender, " is not a process (n=",
+                     n, ")");
+    if (victims.test(cd.sender))
+      return str_cat("process ", cd.sender, " is both crashed and corrupted ",
+                     "in one fault plan — a crash's deliver_to already ",
+                     "fixes its delivery");
+    if (omitted.test(cd.sender))
+      return str_cat("process ", cd.sender, " is both omitted and corrupted ",
+                     "in one fault plan — an omitted link has no value left ",
+                     "to forge");
+    if (corrupted.test(cd.sender))
+      return str_cat("corruption sender ", cd.sender,
+                     " appears twice in one fault plan");
+    if (!sends[cd.sender])
+      return str_cat("plan corrupts messages of process ", cd.sender,
+                     ", which is not sending this round (there is no "
+                     "message whose value could be forged)");
+    if (outside_live(cd.sender))
+      return str_cat("corruption sender ", cd.sender,
+                     " is outside the live set");
+    for (const auto& fg : cd.forgeries) {
+      if (fg.target >= n)
+        return str_cat("forgery target ", fg.target, " of corruption sender ",
+                       cd.sender, " is not a process (n=", n, ")");
+      if (targets.test(fg.target))
+        return str_cat("forgery target ", fg.target, " of corruption sender ",
+                       cd.sender, " appears twice in one directive");
+      targets.set(fg.target);
+    }
+    for (const auto& fg : cd.forgeries) targets.reset(fg.target);
+    corrupted.set(cd.sender);
+  }
+  return {};
+}
 
 void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
                   const DynBitset& receivers, std::span<Receipt> out) {
-  const DynBitset crashed_now = validate(n, traffic);
+  deliver_checked_into(n, traffic, checked_victims(n, traffic), receivers,
+                       out);
+}
+
+void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
+                          const DynBitset& victims,
+                          const DynBitset& receivers, std::span<Receipt> out) {
+  SYNRAN_REQUIRE(victims.size() == n, "victims mask has wrong size");
   SYNRAN_REQUIRE(receivers.size() == n, "receivers mask has wrong size");
   SYNRAN_REQUIRE(out.size() == n, "receipt span has wrong size");
 
@@ -223,7 +278,7 @@ void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
   // the aggregate; their dropped links are subtracted per receiver below.
   Receipt full{};
   for_each_candidate(n, traffic, [&](std::size_t i) {
-    if (!traffic.payloads[i].has_value() || crashed_now.test(i)) return;
+    if (!traffic.payloads[i].has_value() || victims.test(i)) return;
     accumulate(full, *traffic.payloads[i]);
   });
   receivers.for_each_set([&](std::size_t i) { out[i] = full; });
@@ -233,7 +288,7 @@ void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
   // affected receivers' or_mask from the aggregate senders alone, and the
   // partial crash deliveries then OR their payloads back on top.
   if (!traffic.plan->omissions.empty() || !traffic.plan->corruptions.empty())
-    apply_link_faults(n, traffic, receivers, crashed_now, full, out);
+    apply_link_faults(n, traffic, receivers, victims, full, out);
   apply_crash_groups(traffic, receivers, out);
 }
 
@@ -246,7 +301,7 @@ std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,
 
 std::vector<Receipt> deliver_naive(std::uint32_t n, const RoundTraffic& traffic,
                                    const DynBitset& receivers) {
-  validate(n, traffic);
+  checked_victims(n, traffic);
   SYNRAN_REQUIRE(receivers.size() == n, "receivers mask has wrong size");
 
   // Build the full delivery matrix, then fold.

@@ -16,13 +16,15 @@
 // in O(1) each. Total cost stays
 // O(L + Σ over groups |mask| + directives + Σ|omitted and forged links|)
 // per round instead of the naive O(n²), where L is |traffic.live| when the
-// caller supplies a live set and n otherwise, plus n/64 words to validate
-// the plan and to compare distinct mask handles. A deliberately naive
-// reference implementation is provided for cross-checking in tests.
+// caller supplies a live set and n otherwise, plus n/64 words per bitset
+// `check_plan` clears (one for a crash-only plan) and per distinct mask
+// handle compared. A deliberately naive reference implementation is
+// provided for cross-checking in tests.
 #pragma once
 
 #include <optional>
 #include <span>
+#include <string>
 
 #include "net/types.hpp"
 
@@ -33,10 +35,8 @@ struct RoundTraffic {
   /// Per-process outgoing payload; nullopt = sends nothing this round
   /// (crashed earlier, or voluntarily halted).
   std::span<const std::optional<Payload>> payloads;
-  /// The fault plan chosen by the adversary for this round. Crash victims,
-  /// omission senders, and corruption senders must be senders (payload
-  /// present), and no process may appear in more than one directive family;
-  /// the fabric checks this.
+  /// The fault plan chosen by the adversary for this round; its shape rules
+  /// are `check_plan`'s.
   const FaultPlan* plan = nullptr;
   /// Optional size-n superset of the processes whose slot holds a payload
   /// (the engine passes its alive set: crashed slots are empty). When given,
@@ -49,19 +49,39 @@ struct RoundTraffic {
   const DynBitset* live = nullptr;
 };
 
+/// The §3.1 plan-shape rules every delivery and the runtime auditor share:
+/// each directive names a process (below n) that sends this round and lies
+/// in `traffic.live` when one is given; no process appears twice in one
+/// family or in two; every mask holds n bits; a corruption's forgery
+/// targets are distinct processes. Returns the first violation, naming the
+/// offender, or "" for a well-formed (or null) plan, whose crash victims it
+/// leaves in `victims`. `victims` is resized only when it does not hold n
+/// bits, so a bitset kept across rounds checks crash-only plans without
+/// allocating.
+std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
+                       DynBitset& victims);
+
 /// Writes the receipt of every process in `receivers` (set bits) into its
 /// slot of `out`, which must hold `n` receipts; the slots of non-receivers
-/// are left untouched. `n` is the system size.
+/// are left untouched. `n` is the system size. Runs `check_plan` first and
+/// throws its violation as ArgumentError.
 void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
                   const DynBitset& receivers, std::span<Receipt> out);
+
+/// `deliver_into` without the check, for a plan that passed `check_plan`
+/// over the same payloads and left `victims`: how the engine delivers once
+/// its runtime auditor has checked the round's plan.
+void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
+                          const DynBitset& victims,
+                          const DynBitset& receivers, std::span<Receipt> out);
 
 /// `deliver_into` a fresh vector: receipts for non-receiver indices are
 /// value-initialized.
 std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,
                              const DynBitset& receivers);
 
-/// Reference implementation: materializes every (sender → receiver) pair.
-/// Used only by tests to validate `deliver`.
+/// Reference implementation: materializes every (sender → receiver) pair
+/// after the same `check_plan`. Used only by tests to validate `deliver`.
 std::vector<Receipt> deliver_naive(std::uint32_t n, const RoundTraffic& traffic,
                                    const DynBitset& receivers);
 

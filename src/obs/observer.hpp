@@ -15,7 +15,7 @@
 //                           on_round_end  (crashes committed)
 //   on_run_end
 // The final silent round (everyone halted, nothing sent) produces no round
-// callbacks, matching the paper's round count and TracingAdversary.
+// callbacks, matching the paper's round count.
 //
 // Observers must not mutate the execution and must stay deterministic: no
 // wall-clock, no external randomness (the wall-clock ban is lint-enforced

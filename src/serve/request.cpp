@@ -170,6 +170,9 @@ JsonValue canonicalize_sync(const JsonValue& config) {
   const std::uint32_t n = get_u32(config, "n", 128);
   if (n == 0) throw BadRequest("config.n must be >= 1");
   const std::uint32_t t = get_u32(config, "t", n / 2);
+  if (t > n)
+    throw BadRequest("config.t " + std::to_string(t) + " exceeds config.n " +
+                     std::to_string(n));
   const std::string pattern = get_string(config, "pattern", "random");
   require_one_of("pattern", pattern,
                  {"all-0", "all-1", "half", "single-0", "random"});
@@ -232,6 +235,9 @@ JsonValue canonicalize_async(const JsonValue& config) {
   const std::uint32_t n = get_u32(config, "n", 32);
   if (n == 0) throw BadRequest("config.n must be >= 1");
   const std::uint32_t t = get_u32(config, "t", n >= 2 ? (n - 1) / 2 : 0);
+  if (t >= n)
+    throw BadRequest("config.t " + std::to_string(t) + " must be below " +
+                     "config.n " + std::to_string(n) + " for model 'async'");
   const std::string pattern = get_string(config, "pattern", "random");
   require_one_of("pattern", pattern,
                  {"all-0", "all-1", "half", "single-0", "random"});

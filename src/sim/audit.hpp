@@ -1,8 +1,8 @@
 // Runtime invariant auditor for the §3.1 adversary model.
 //
-// The engine's correctness story has two layers: TracingAdversary +
-// check_model_invariants re-verify a *finished* execution from its recorded
-// trace, while this auditor validates every round *as it happens*, with
+// The engine's correctness story has two layers: check_model_invariants
+// (runner/narrate) re-verifies a *finished* execution from its recorded
+// rounds, while this auditor validates every round *as it happens*, with
 // enough context to name the offender. It enforces, per round:
 //
 //   * cumulative crashes never exceed the global budget t;
@@ -23,6 +23,10 @@
 //     exactly deliver_to ∩ active, and each omission subtracts exactly
 //     drop_for ∩ active.
 //
+// The directive-shape rules are net/fabric.hpp's `check_plan`, which
+// on_plan runs after its budget, cap and re-crash checks; the engine
+// delivers with the victims it leaves, so a round checks its plan once.
+//
 // Violations throw InvariantError with a round-stamped narrative naming the
 // process and the budget arithmetic involved. The predicates are cheap, so
 // the engine keeps them always on. Per round they cost one branch-free
@@ -30,9 +34,10 @@
 // is empty), O(live) for the walks over the auditor's own live set (the
 // complement of its crashed set) in phase A and in the full-sender
 // recount, O(halted) virtual decided()/decision() calls in phase A (every
-// live process in strict mode), O(1) per directive for the plan checks,
-// and for the delivery count one count_and (O(n/64) words) per run of
-// consecutive crash directives with equal masks. Directives sharing one
+// live process in strict mode), O(1) per directive and forgery plus n/64
+// words per `check_plan` bitset for the plan checks, and for the delivery
+// count one count_and (O(n/64) words) per run of consecutive crash
+// directives with equal masks. Directives sharing one
 // mask handle compare equal in O(1), so an adversary that hides a whole
 // camp behind one mask pays one popcount pass, not one per victim.
 // AuditedAdversary additionally lets tests and fuzzers wrap any
@@ -74,7 +79,8 @@ class RunAuditor {
                   const DynBitset& halted,
                   std::span<const std::unique_ptr<Process>> processes);
 
-  /// Validates a fault plan against the §3.1 budget rules and records its
+  /// Validates a fault plan against the §3.1 budget, cap and re-crash rules
+  /// and then its shape (net/fabric.hpp's `check_plan`), and records its
   /// crashes. Call before applying the plan.
   void on_plan(Round round, const FaultPlan& plan,
                std::span<const std::optional<Payload>> payloads);
@@ -122,6 +128,9 @@ class RunAuditor {
     return byzantine_budget_ - cum_corruptions_;
   }
   const DynBitset& crashed() const { return crashed_; }
+  /// The crash victims of the plan the last on_plan accepted, for
+  /// `deliver_checked_into`.
+  const DynBitset& plan_victims() const { return victims_; }
 
  private:
   [[noreturn]] void fail(Round round, const std::string& what) const;
@@ -142,6 +151,7 @@ class RunAuditor {
   std::uint32_t cum_corruptions_ = 0;
   bool strict_decisions_ = false;
   DynBitset crashed_;
+  DynBitset victims_;
   std::vector<Round> crash_round_;
   std::vector<bool> was_decided_;
   std::vector<Bit> decision_was_;

@@ -155,8 +155,10 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     active = alive;
     for (const auto& c : plan.crashes) active.reset(c.victim);
     halted.for_each_set([&](std::size_t i) { active.reset(i); });
-    // Crashed slots are empty, so the live set covers every sender.
-    deliver_into(n, RoundTraffic{payloads, &plan, &alive}, active, receipts);
+    // on_plan checked the plan's shape and left its victims. Crashed slots
+    // are empty (on_phase_a), so the live set covers every sender.
+    deliver_checked_into(n, RoundTraffic{payloads, &plan, &alive},
+                         auditor.plan_victims(), active, receipts);
     active.for_each_set([&](std::size_t i) {
       have_receipt[i] = 1;
       round_delivered += receipts[i].count;

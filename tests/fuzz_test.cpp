@@ -5,18 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "adversary/basic.hpp"
 #include "adversary/coinbias.hpp"
 #include "adversary/nonadaptive.hpp"
 #include "common/rng.hpp"
+#include "obs/trace_record.hpp"
 #include "protocols/floodmin.hpp"
 #include "protocols/kfloodmin.hpp"
 #include "protocols/leadercoin.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
+#include "runner/narrate.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace synran {
 namespace {
@@ -125,18 +127,20 @@ TEST(FuzzGrid, HundredsOfRandomConfigsKeepEveryInvariant) {
   int safety_checked = 0;
   for (int iter = 0; iter < 250; ++iter) {
     FuzzConfig cfg = draw(rng);
-    TracingAdversary tracer(*cfg.adversary);
+    std::vector<obs::TraceRecord> records;
+    obs::TraceRecorder recorder(records);
     EngineOptions opts;
     opts.t_budget = cfg.t;
     opts.seed = rng.next();
     // The symmetric ablation can genuinely livelock under attack at larger
     // n; the cap turns that into a skipped (not failed) liveness check.
     opts.max_rounds = 30000;
+    opts.observer = &recorder;
 
-    const auto res = run_once(*cfg.factory, cfg.inputs, tracer, opts);
+    const auto res = run_once(*cfg.factory, cfg.inputs, *cfg.adversary, opts);
 
     // Model invariants hold unconditionally.
-    const auto report = check_model_invariants(tracer.trace());
+    const auto report = check_model_invariants(records);
     ASSERT_TRUE(report.ok)
         << "iter " << iter << " [" << cfg.label << "]: "
         << (report.violations.empty() ? "" : report.violations.front());
@@ -164,18 +168,23 @@ TEST(FuzzGrid, MessageAccountingMatchesTraces) {
   Xoshiro256 rng(0xfeed);
   for (int iter = 0; iter < 40; ++iter) {
     FuzzConfig cfg = draw(rng);
-    TracingAdversary tracer(*cfg.adversary);
+    std::vector<obs::TraceRecord> records;
+    obs::TraceRecorder recorder(records);
     EngineOptions opts;
     opts.t_budget = cfg.t;
     opts.seed = rng.next();
     opts.max_rounds = 30000;
-    const auto res = run_once(*cfg.factory, cfg.inputs, tracer, opts);
+    opts.observer = &recorder;
+    const auto res = run_once(*cfg.factory, cfg.inputs, *cfg.adversary, opts);
     if (!res.terminated) continue;
     // Each round delivers at most senders × receivers messages.
     std::uint64_t upper = 0;
-    for (const auto& r : tracer.trace().rounds)
+    for (const auto& record : records) {
+      if (record.kind != obs::TraceRecordKind::RoundEnd) continue;
+      const auto& r = record.round;
       upper += static_cast<std::uint64_t>(r.senders) *
                (r.alive - r.halted);
+    }
     EXPECT_LE(res.messages_delivered, upper) << cfg.label;
     if (res.rounds_to_halt > 0) {
       EXPECT_GT(res.messages_delivered, 0u) << cfg.label;

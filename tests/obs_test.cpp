@@ -1,6 +1,7 @@
 // Tests for the observability layer: the deterministic JSON model, the
 // metrics registry, observer fan-out ordering, and the composed engine view
-// (JSONL trace + metrics + TracingAdversary must all agree on one run).
+// (JSONL trace + metrics + recorded round observations must all agree on
+// one run).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,12 +14,13 @@
 #include "obs/metrics.hpp"
 #include "obs/metrics_observer.hpp"
 #include "obs/observer.hpp"
+#include "obs/trace_record.hpp"
 #include "obs/trace_writer.hpp"
 #include "protocols/floodmin.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
+#include "runner/narrate.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace synran {
 namespace {
@@ -279,7 +281,7 @@ TEST(ObsMultiObserver, FansOutEveryCallbackInInstallationOrder) {
 struct ComposedRun {
   std::string jsonl;
   obs::MetricsRegistry metrics;
-  Trace trace;
+  std::vector<obs::TraceRecord> records;
   RunResult result;
 };
 
@@ -288,12 +290,13 @@ ComposedRun run_composed(std::uint64_t seed) {
   std::ostringstream stream;
   obs::JsonlTraceWriter writer(stream);
   obs::MetricsObserver metrics;
+  obs::TraceRecorder recorder(out.records);
   obs::MultiObserver multi;
   multi.add(writer);
   multi.add(metrics);
+  multi.add(recorder);
 
   CoinBiasAdversary inner({0.55, true, seed});
-  TracingAdversary tracer(inner);
 
   SynRanFactory factory;
   EngineOptions opts;
@@ -303,10 +306,9 @@ ComposedRun run_composed(std::uint64_t seed) {
   opts.observer = &multi;
   Xoshiro256 rng(seed);
   out.result = run_once(factory, make_inputs(16, InputPattern::Half, rng),
-                        tracer, opts);
+                        inner, opts);
   out.jsonl = stream.str();
   out.metrics = metrics.metrics();
-  out.trace = tracer.trace();
   return out;
 }
 
@@ -329,16 +331,19 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
   EXPECT_EQ(events.back().find("event")->as_string(), "run_end");
 
   // One round event per communication round, matching both the engine's
-  // round count and the adversary-side TracingAdversary.
+  // round count and the recorded round observations.
+  std::vector<obs::RoundObservation> recorded;
+  for (const auto& r : run.records)
+    if (r.kind == obs::TraceRecordKind::RoundEnd) recorded.push_back(r.round);
   const std::size_t round_events = events.size() - 2;
   EXPECT_EQ(round_events, run.result.rounds_to_halt);
-  ASSERT_EQ(round_events, run.trace.rounds.size());
+  ASSERT_EQ(round_events, recorded.size());
   for (std::size_t i = 0; i < round_events; ++i) {
     const auto& ev = events[i + 1];
     EXPECT_EQ(ev.find("event")->as_string(), "round");
-    EXPECT_EQ(ev.find("crashes")->as_int(), run.trace.rounds[i].crashes);
-    EXPECT_EQ(ev.find("alive")->as_int(), run.trace.rounds[i].alive);
-    EXPECT_EQ(ev.find("senders")->as_int(), run.trace.rounds[i].senders);
+    EXPECT_EQ(ev.find("crashes")->as_int(), recorded[i].crashes);
+    EXPECT_EQ(ev.find("alive")->as_int(), recorded[i].alive);
+    EXPECT_EQ(ev.find("senders")->as_int(), recorded[i].senders);
     EXPECT_EQ(static_cast<std::uint32_t>(ev.find("crashes")->as_int()),
               run.result.crashes_per_round[i]);
   }
@@ -364,8 +369,8 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
   EXPECT_EQ(run.metrics.histogram_at("crashes_per_round").count(),
             round_events);
 
-  // The recorded trace still satisfies the §3.1 model invariants.
-  const auto report = check_model_invariants(run.trace);
+  // The recorded run still satisfies the §3.1 model invariants.
+  const auto report = check_model_invariants(run.records);
   EXPECT_TRUE(report.ok) << (report.violations.empty()
                                  ? ""
                                  : report.violations.front());

@@ -526,6 +526,36 @@ TEST(Server, RetryBudgetOverflowIsARunFailureNotADaemonCrash) {
   EXPECT_EQ(server.cache().entries(), 0u);
 }
 
+TEST(Server, BudgetsTheEnginesCannotRunAreBadRequests) {
+  const std::string dir = temp_dir("srv_over_budget");
+  Server server(test_options(dir + "/cache"));
+  // The sync engine needs t <= n and the async core t < n. Both configs
+  // used to reach the engine and come back run_failed, with the engine's
+  // source path in the message.
+  const auto result = serve_over_files(
+      server, dir,
+      {R"({"schema":"synran-req/1","id":"sync","cmd":"run","config":)"
+       R"({"model":"sync","n":4,"t":9,"reps":2}})",
+       R"({"schema":"synran-req/1","id":"async","cmd":"run","config":)"
+       R"({"model":"async","n":4,"t":4,"reps":2}})",
+       R"({"schema":"synran-req/1","id":"after","cmd":"ping"})"});
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.bodies.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JsonValue rejected = parse_json(result.bodies[i]);
+    EXPECT_FALSE(rejected.find("ok")->as_bool()) << result.bodies[i];
+    EXPECT_EQ(rejected.find("error")->find("code")->as_string(),
+              "bad_request")
+        << result.bodies[i];
+    EXPECT_NE(rejected.find("error")->find("message")->as_string().find(
+                  "config.n 4"),
+              std::string::npos)
+        << result.bodies[i];
+  }
+  EXPECT_TRUE(parse_json(result.bodies[2]).find("ok")->as_bool());
+  EXPECT_EQ(server.cache().entries(), 0u);
+}
+
 TEST(Server, DeadlineAppliesToAsyncBatchesToo) {
   const std::string dir = temp_dir("srv_deadline_async");
   Server server(test_options(dir + "/cache"));

@@ -1,54 +1,98 @@
-// Tests for the trace recorder and the §3.1 model-invariant checker, plus
-// trace-driven property tests across protocols and adversaries.
+// Tests for the model-invariant checker over recorded round observations,
+// plus trace-driven property tests across protocols and adversaries.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include "adversary/basic.hpp"
 #include "adversary/coinbias.hpp"
+#include "obs/trace_record.hpp"
 #include "protocols/floodmin.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
+#include "runner/narrate.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace synran {
 namespace {
 
-Trace record_run(const ProcessFactory& factory, Adversary& inner,
-                 std::uint32_t n, std::uint32_t t, std::uint64_t seed,
-                 InputPattern pattern = InputPattern::Half) {
-  TracingAdversary tracer(inner);
+/// One run as an obs::TraceRecorder captured it; its round records are
+/// reachable by index so tests can read and corrupt them.
+struct RecordedRun {
+  std::vector<obs::TraceRecord> records;
+
+  const obs::RunInfo& info() const {
+    for (const auto& r : records)
+      if (r.kind == obs::TraceRecordKind::RunBegin) return r.begin;
+    throw std::logic_error("no run_begin record");
+  }
+  /// The round_end observations, in order.
+  std::vector<obs::RoundObservation> rounds() const {
+    std::vector<obs::RoundObservation> out;
+    for (const auto& r : records)
+      if (r.kind == obs::TraceRecordKind::RoundEnd) out.push_back(r.round);
+    return out;
+  }
+  /// The i-th round_end observation, for corrupting in place.
+  obs::RoundObservation& round(std::size_t i) {
+    for (auto& r : records)
+      if (r.kind == obs::TraceRecordKind::RoundEnd && i-- == 0) return r.round;
+    throw std::out_of_range("no such round record");
+  }
+  std::uint32_t total_crashes() const {
+    std::uint32_t acc = 0;
+    for (const auto& r : rounds()) acc += r.crashes;
+    return acc;
+  }
+  /// Largest crash count in any single round.
+  std::uint32_t max_crashes_per_round() const {
+    std::uint32_t mx = 0;
+    for (const auto& r : rounds()) mx = std::max(mx, r.crashes);
+    return mx;
+  }
+};
+
+RecordedRun record_run(const ProcessFactory& factory, Adversary& adversary,
+                       std::uint32_t n, std::uint32_t t, std::uint64_t seed,
+                       InputPattern pattern = InputPattern::Half) {
+  RecordedRun run;
+  obs::TraceRecorder recorder(run.records);
   EngineOptions opts;
   opts.t_budget = t;
   opts.seed = seed;
   opts.max_rounds = 50000;
+  opts.observer = &recorder;
   Xoshiro256 rng(seed);
   const auto inputs = make_inputs(n, pattern, rng);
-  const auto res = run_once(factory, inputs, tracer, opts);
+  const auto res = run_once(factory, inputs, adversary, opts);
   EXPECT_TRUE(res.terminated);
-  return tracer.trace();
+  return run;
 }
 
 TEST(TraceTest, RecordsBasicShape) {
   SynRanFactory factory;
   NoAdversary none;
-  const Trace tr = record_run(factory, none, 16, 0, 1);
-  ASSERT_FALSE(tr.rounds.empty());
-  EXPECT_EQ(tr.n, 16u);
-  EXPECT_EQ(tr.rounds.front().round, 1u);
-  EXPECT_EQ(tr.rounds.front().alive, 16u);
-  EXPECT_EQ(tr.rounds.front().senders, 16u);
-  EXPECT_EQ(tr.total_crashes(), 0u);
+  const RecordedRun run = record_run(factory, none, 16, 0, 1);
+  const auto rounds = run.rounds();
+  ASSERT_FALSE(rounds.empty());
+  EXPECT_EQ(run.info().n, 16u);
+  EXPECT_EQ(rounds.front().round, 1u);
+  EXPECT_EQ(rounds.front().alive, 16u);
+  EXPECT_EQ(rounds.front().senders, 16u);
+  EXPECT_EQ(run.total_crashes(), 0u);
 }
 
 TEST(TraceTest, CountsCrashesAndComposition) {
   SynRanFactory factory;
   StaticCrashAdversary adv({{1, 0, {}}, {2, 1, {}}});
-  const Trace tr = record_run(factory, adv, 12, 2, 3);
-  EXPECT_EQ(tr.total_crashes(), 2u);
-  EXPECT_EQ(tr.max_crashes_per_round(), 1u);
+  const RecordedRun run = record_run(factory, adv, 12, 2, 3);
+  EXPECT_EQ(run.total_crashes(), 2u);
+  EXPECT_EQ(run.max_crashes_per_round(), 1u);
   // Half-pattern round 1: six 1-payloads, six 0-payloads.
-  EXPECT_EQ(tr.rounds.front().ones, 6u);
-  EXPECT_EQ(tr.rounds.front().zeros, 6u);
+  EXPECT_EQ(run.rounds().front().ones, 6u);
+  EXPECT_EQ(run.rounds().front().zeros, 6u);
 }
 
 TEST(TraceInvariantsTest, CleanRunsPass) {
@@ -58,8 +102,8 @@ TEST(TraceInvariantsTest, CleanRunsPass) {
   for (const ProcessFactory* f :
        {static_cast<const ProcessFactory*>(&synran),
         static_cast<const ProcessFactory*>(&flood)}) {
-    const Trace tr = record_run(*f, none, 10, 0, 7);
-    const auto report = check_model_invariants(tr);
+    const RecordedRun run = record_run(*f, none, 10, 0, 7);
+    const auto report = check_model_invariants(run.records);
     EXPECT_TRUE(report.ok)
         << (report.violations.empty() ? "" : report.violations.front());
   }
@@ -70,16 +114,16 @@ TEST(TraceInvariantsTest, HoldAcrossAdversariesAndSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     {
       RandomCrashAdversary adv({2, 0.7, seed});
-      const Trace tr = record_run(factory, adv, 24, 12, seed);
-      const auto report = check_model_invariants(tr);
+      const RecordedRun run = record_run(factory, adv, 24, 12, seed);
+      const auto report = check_model_invariants(run.records);
       EXPECT_TRUE(report.ok)
           << "random seed " << seed << ": "
           << (report.violations.empty() ? "" : report.violations.front());
     }
     {
       CoinBiasAdversary adv({0.55, true, seed});
-      const Trace tr = record_run(factory, adv, 24, 23, seed);
-      const auto report = check_model_invariants(tr);
+      const RecordedRun run = record_run(factory, adv, 24, 23, seed);
+      const auto report = check_model_invariants(run.records);
       EXPECT_TRUE(report.ok)
           << "coinbias seed " << seed << ": "
           << (report.violations.empty() ? "" : report.violations.front());
@@ -90,29 +134,29 @@ TEST(TraceInvariantsTest, HoldAcrossAdversariesAndSeeds) {
 TEST(TraceInvariantsTest, DetectsCorruptedTraces) {
   SynRanFactory factory;
   NoAdversary none;
-  Trace tr = record_run(factory, none, 8, 0, 1);
-  ASSERT_GE(tr.rounds.size(), 2u);
+  const RecordedRun run = record_run(factory, none, 8, 0, 1);
+  ASSERT_GE(run.rounds().size(), 2u);
 
   {
-    Trace bad = tr;
-    bad.rounds[1].alive = bad.rounds[0].alive + 1;  // resurrection
-    EXPECT_FALSE(check_model_invariants(bad).ok);
+    RecordedRun bad = run;
+    bad.round(1).alive = bad.round(0).alive + 1;  // resurrection
+    EXPECT_FALSE(check_model_invariants(bad.records).ok);
   }
   {
-    Trace bad = tr;
-    bad.rounds[1].halted = 0;
-    bad.rounds[0].halted = 5;  // halted shrank
-    EXPECT_FALSE(check_model_invariants(bad).ok);
+    RecordedRun bad = run;
+    bad.round(1).halted = 0;
+    bad.round(0).halted = 5;  // halted shrank
+    EXPECT_FALSE(check_model_invariants(bad.records).ok);
   }
   {
-    Trace bad = tr;
-    bad.rounds[0].crashes = bad.t_budget + 1;  // over budget
-    EXPECT_FALSE(check_model_invariants(bad).ok);
+    RecordedRun bad = run;
+    bad.round(0).crashes = bad.info().t_budget + 1;  // over budget
+    EXPECT_FALSE(check_model_invariants(bad.records).ok);
   }
   {
-    Trace bad = tr;
-    bad.rounds[0].senders = bad.rounds[0].alive + 3;  // ghost senders
-    EXPECT_FALSE(check_model_invariants(bad).ok);
+    RecordedRun bad = run;
+    bad.round(0).senders = bad.round(0).alive + 3;  // ghost senders
+    EXPECT_FALSE(check_model_invariants(bad.records).ok);
   }
 }
 
@@ -122,8 +166,8 @@ TEST(TraceTest, SynRanTrafficCompositionIsConsistent) {
   // carries exactly one value bit).
   SynRanFactory factory;
   CoinBiasAdversary adv({0.55, true, 11});
-  const Trace tr = record_run(factory, adv, 32, 16, 13);
-  for (const auto& r : tr.rounds) {
+  const RecordedRun run = record_run(factory, adv, 32, 16, 13);
+  for (const auto& r : run.rounds()) {
     if (r.deterministic > 0) continue;
     EXPECT_EQ(r.ones + r.zeros, r.senders) << "round " << r.round;
   }
@@ -135,13 +179,14 @@ TEST(TraceTest, StallKeepsCollapsingCounts) {
   // strictly decreasing sender sequence while budget remains.
   SynRanFactory factory;
   CoinBiasAdversary adv({0.55, true, 5});
-  const Trace tr =
+  const RecordedRun run =
       record_run(factory, adv, 40, 39, 9, InputPattern::AllOne);
-  ASSERT_GE(tr.rounds.size(), 3u);
-  EXPECT_GT(tr.total_crashes(), 0u);
+  const auto rounds = run.rounds();
+  ASSERT_GE(rounds.size(), 3u);
+  EXPECT_GT(run.total_crashes(), 0u);
   bool decreased = false;
-  for (std::size_t i = 1; i < tr.rounds.size(); ++i)
-    if (tr.rounds[i].senders < tr.rounds[i - 1].senders) decreased = true;
+  for (std::size_t i = 1; i < rounds.size(); ++i)
+    if (rounds[i].senders < rounds[i - 1].senders) decreased = true;
   EXPECT_TRUE(decreased);
 }
 

@@ -2,11 +2,13 @@
 # substring of its combined stdout+stderr. Driven from add_test():
 #
 #   cmake -DCLI=<path> "-DARGS=run;--threads;0x" -DEXPECT_RC=2
-#         [-DEXPECT_OUT=<substring>] [-DREMOVE=<file>] -P cli_expect.cmake
+#         [-DEXPECT_OUT=<substring>] [-DREMOVE=<file>]
+#         ["-DALSO_ARGS=<second invocation>"] -P cli_expect.cmake
 #
 # ARGS is a ;-separated list. A mismatch prints the full output and fails.
 # REMOVE deletes a file first (e.g. a stale checkpoint ledger, so a resume
-# test's recording run starts from nothing).
+# test's recording run starts from nothing). ALSO_ARGS, when given, is a
+# second invocation held to the same exit code and substring.
 if(NOT DEFINED CLI OR NOT DEFINED EXPECT_RC)
   message(FATAL_ERROR "cli_expect.cmake needs -DCLI=... and -DEXPECT_RC=...")
 endif()
@@ -34,4 +36,10 @@ if(DEFINED EXPECT_OUT)
     message(FATAL_ERROR
       "output does not contain '${EXPECT_OUT}'\n--- output ---\n${combined}")
   endif()
+endif()
+
+if(DEFINED ALSO_ARGS)
+  set(ARGS "${ALSO_ARGS}")
+  unset(ALSO_ARGS CACHE)
+  include(${CMAKE_CURRENT_LIST_FILE})
 endif()

@@ -66,7 +66,6 @@
 #include "runner/narrate.hpp"
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace {
 
@@ -213,7 +212,19 @@ InputPattern parse_pattern(const std::string& name) {
   if (name == "all-1") return InputPattern::AllOne;
   if (name == "half") return InputPattern::Half;
   if (name == "single-0") return InputPattern::SingleZero;
-  return InputPattern::Random;
+  if (name == "random") return InputPattern::Random;
+  throw UsageError("invalid --pattern '" + name +
+                   "' (expected all-0, all-1, half, single-0, or random)");
+}
+
+/// The engines' own limits, checked before any run starts: n >= 1, and
+/// t <= n for the sync engine, t < n for the async core.
+void check_budget(std::uint32_t n, std::uint32_t t, bool async) {
+  if (n == 0) throw UsageError("invalid --n 0: a run needs a process");
+  if (t > n || (async && t == n))
+    throw UsageError("invalid --t " + std::to_string(t) + " for --n " +
+                     std::to_string(n) + ": the " + (async ? "async" : "sync") +
+                     " engine needs " + (async ? "t < n" : "t <= n"));
 }
 
 /// Parsed --faults. `omit:RATE[,BUDGET]` layers seeded i.i.d. link drops
@@ -317,6 +328,7 @@ int cmd_run_async(const Args& args) {
 
   const auto n = args.num32("n", 32);
   const auto t = args.num32("t", n >= 2 ? (n - 1) / 2 : 0);
+  check_budget(n, t, true);
   const auto proto = args.get("protocol", "benor");
   if (proto != "benor") {
     throw UsageError("--model=async supports --protocol benor only");
@@ -423,6 +435,7 @@ int cmd_run(const Args& args) {
 
   const auto n = args.num32("n", 128);
   const auto t = args.num32("t", n / 2);
+  check_budget(n, t, false);
   const auto proto = args.get("protocol", "synran");
   const auto adv = args.get("adversary", "coinbias");
   const auto faults = parse_faults(args.get("faults", ""));
@@ -663,18 +676,23 @@ int cmd_valency(const Args& args) {
 int cmd_narrate(const Args& args) {
   const auto n = args.num32("n", 96);
   const auto t = args.num32("t", n - 1);
+  check_budget(n, t, false);
   const auto seed = args.num("seed", 11);
   const auto adversaries = make_adversary(args.get("adversary", "coinbias"));
   if (!adversaries) {
     throw UsageError("unknown adversary");
   }
   auto inner = adversaries(seed);
-  TracingAdversary tracer(*inner);
   SynRanFactory factory;
+  std::vector<obs::TraceRecord> records;
+  obs::TraceRecorder recorder(records);
+  obs::MultiObserver observers;
+  observers.add(recorder);
   EngineOptions opts;
   opts.t_budget = t;
   opts.seed = seed;
   opts.max_rounds = 100000;
+  opts.observer = &observers;
   std::unique_ptr<obs::TraceWriter> trace_out;
   if (const auto path = args.get("trace-out", ""); !path.empty()) {
     try {
@@ -683,14 +701,14 @@ int cmd_narrate(const Args& args) {
     } catch (const obs::IoError& e) {
       throw UsageError(e.what());
     }
-    opts.observer = trace_out.get();
+    observers.add(*trace_out);
   }
   Xoshiro256 rng(seed);
   const auto inputs =
       make_inputs(n, parse_pattern(args.get("pattern", "half")), rng);
-  const auto res = run_once(factory, inputs, tracer, opts);
+  const auto res = run_once(factory, inputs, *inner, opts);
   if (trace_out != nullptr) trace_out->close();
-  narrate(tracer.trace(), std::cout);
+  narrate(records, std::cout);
   std::cout << "decision "
             << (res.has_decision ? std::to_string(to_int(res.decision)) : "-")
             << " @ round " << res.rounds_to_decision << ", agreement "
