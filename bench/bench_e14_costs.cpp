@@ -35,7 +35,7 @@ void tables() {
       opts.max_rounds = 100000;
       auto inputs = make_inputs(n, InputPattern::Half, input_rng);
       const auto res = run_once(synran, inputs, adv, opts);
-      sr_msgs.add(static_cast<double>(res.messages_delivered));
+      sr_msgs.add(static_cast<double>(res.faults.delivered));
     }
     // FloodMin, failure-free (its message count is schedule-determined).
     FloodMinFactory flood({t, false});
@@ -46,8 +46,8 @@ void tables() {
         run_once(flood, make_inputs(n, InputPattern::Half, rng), none,
                  fopts);
     msg.row({static_cast<long long>(t), sr_msgs.mean(),
-             static_cast<double>(fres.messages_delivered),
-             static_cast<double>(fres.messages_delivered) /
+             static_cast<double>(fres.faults.delivered),
+             static_cast<double>(fres.faults.delivered) /
                  std::max(1.0, sr_msgs.mean())});
   }
   emit(msg);

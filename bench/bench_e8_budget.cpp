@@ -36,7 +36,7 @@ void tables() {
       auto inputs = make_inputs(n, InputPattern::Half, input_rng);
       const auto res = run_once(synran, inputs, adv, opts);
       rounds.add(static_cast<double>(res.rounds_to_decision));
-      total.add(static_cast<double>(res.crashes_total));
+      total.add(static_cast<double>(res.faults.crashes));
       for (auto c : res.crashes_per_round)
         per_round.add(static_cast<double>(c));
     }
@@ -89,7 +89,7 @@ void BM_CoinBiasPlanning(::benchmark::State& state) {
     Xoshiro256 rng(seed);
     auto inputs = make_inputs(n, InputPattern::Half, rng);
     const auto res = run_once(factory, inputs, adv, opts);
-    ::benchmark::DoNotOptimize(res.crashes_total);
+    ::benchmark::DoNotOptimize(res.faults.crashes);
   }
 }
 BENCHMARK(BM_CoinBiasPlanning)->Arg(1024)->Arg(4096);

@@ -94,7 +94,7 @@ void tables() {
       played.row({static_cast<long long>(seed),
                   static_cast<long long>(res.rounds_to_decision),
                   static_cast<long long>(base.rounds_to_decision),
-                  static_cast<long long>(res.crashes_total),
+                  static_cast<long long>(res.faults.crashes),
                   std::string(res.decision == Bit::One ? "1" : "0"),
                   std::string(base.decision == Bit::One ? "1" : "0"),
                   std::string(res.agreement ? "yes" : "NO")});

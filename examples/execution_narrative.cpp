@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
             << (res.has_decision ? (res.decision == Bit::One ? "1" : "0")
                                  : "-")
             << " at round " << res.rounds_to_decision << ", halted by round "
-            << res.rounds_to_halt << ", " << res.crashes_total << "/" << t
-            << " crashes spent, " << res.messages_delivered
+            << res.rounds_to_halt << ", " << res.faults.crashes << "/" << t
+            << " crashes spent, " << res.faults.delivered
             << " messages delivered, agreement "
             << (res.agreement ? "yes" : "NO") << "\n";
 

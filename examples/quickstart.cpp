@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                std::string(res.has_decision
                                ? (res.decision == Bit::One ? "1" : "0")
                                : "-"),
-               static_cast<long long>(res.crashes_total),
+               static_cast<long long>(res.faults.crashes),
                std::string(res.agreement ? "yes" : "NO")});
   };
 

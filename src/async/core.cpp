@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "async/audit.hpp"
 #include "common/check.hpp"
@@ -71,8 +72,6 @@ class AsyncCore final : public EventSource {
     }
     crashed_.assign(n_, false);
     views_.assign(n_, AsyncProcessView{});
-    crash_budget_ = opt_.t_budget;
-    interval_budget_open_ = crash_budget_;
   }
 
   AsyncRunResult run();
@@ -93,6 +92,11 @@ class AsyncCore final : public EventSource {
   };
 
   SimTime now() const { return events_.now(); }
+
+  /// The crash budget left: the limit minus the run's spend so far.
+  std::uint32_t crash_budget() const {
+    return opt_.t_budget - res_.faults.crashes - interval_.crashes;
+  }
 
   bool all_live_decided() const {
     for (ProcessId i = 0; i < n_; ++i)
@@ -125,7 +129,6 @@ class AsyncCore final : public EventSource {
   std::vector<std::unique_ptr<CountingRandomCoins>> coins_;
   std::vector<bool> crashed_;
   std::vector<AsyncProcessView> views_;
-  std::uint32_t crash_budget_ = 0;
 
   std::vector<InFlight> arena_;
   /// The adversary-held pool, mirrored as (message, arena-id) pairs kept in
@@ -143,17 +146,13 @@ class AsyncCore final : public EventSource {
   AsyncRunResult res_;
   bool stuck_ = false;
 
-  // Round-analog observer intervals: one RoundObservation per value of the
-  // live processes' maximum protocol round, flushed when it advances and at
-  // run end, carrying the deliveries/crashes/omissions that happened while
-  // it held. Sums across records therefore match the run_end totals, which
-  // is the trace schema's cross-check invariant.
+  // Round-analog intervals: one per value of the live processes' maximum
+  // protocol round, flushed when it advances and at run end. Every event
+  // counts once, in `interval_`; the flush adds it to the run's tally and
+  // hands it to the observer as one RoundObservation, so the records sum
+  // to the run_end totals (the trace schema's cross-check invariant).
   std::uint32_t cur_round_ = 0;
-  std::uint32_t interval_budget_open_ = 0;
-  std::uint32_t interval_crashes_ = 0;
-  std::uint64_t interval_delivered_ = 0;
-  std::uint32_t interval_omissions_ = 0;
-  std::uint64_t interval_omitted_ = 0;
+  FaultTally interval_;
 };
 
 void AsyncCore::route(const AsyncMessage& msg) {
@@ -205,9 +204,8 @@ void AsyncCore::deliver_activation(const AsyncMessage& msg) {
     procs_[msg.to]->on_message(msg, out, *coins_[msg.to]);
     pump(msg.to, out);
   }
-  ++res_.messages_delivered;
   ++res_.steps;
-  ++interval_delivered_;
+  ++interval_.delivered;
 }
 
 void AsyncCore::pool_swap_remove(std::size_t pos) {
@@ -236,9 +234,7 @@ void AsyncCore::compact_held_done() {
 void AsyncCore::apply_scheduler_crash(const AsyncAction& action) {
   auditor_.on_crash(now(), action.victim);
   crashed_[action.victim] = true;
-  --crash_budget_;
-  ++res_.crashes;
-  ++interval_crashes_;
+  ++interval_.crashes;
   // Validate the drop list before touching anything: each index must name a
   // held message, belong to the victim, and appear at most once.
   std::vector<bool> dropped(held_view_.size(), false);
@@ -274,11 +270,9 @@ void AsyncCore::apply_scheduler_crash(const AsyncAction& action) {
 
 void AsyncCore::inject_crash(SimTime at, ProcessId victim) {
   auditor_.on_crash(at, victim);
-  SYNRAN_CHECK_MSG(crash_budget_ > 0, "timetable crash past the budget");
+  SYNRAN_CHECK_MSG(crash_budget() > 0, "timetable crash past the budget");
   crashed_[victim] = true;
-  --crash_budget_;
-  ++res_.crashes;
-  ++interval_crashes_;
+  ++interval_.crashes;
   // A timetable crash is total: every undelivered message the victim sent
   // dies with it (timed or held), and held traffic addressed to it is
   // purged. Timed traffic addressed to it is discarded at its fabric event.
@@ -305,42 +299,29 @@ void AsyncCore::inject_omission(SimTime at, const AsyncOmitAt& omit) {
   }
   auditor_.on_omission(at, omit.sender, dropped);
   compact_held_done();
-  ++res_.omissions;
-  res_.messages_omitted += dropped;
-  ++interval_omissions_;
-  interval_omitted_ += dropped;
+  ++interval_.omissions;
+  interval_.omitted += dropped;
 }
 
 void AsyncCore::flush_interval() {
-  const bool active = interval_delivered_ != 0 || interval_crashes_ != 0 ||
-                      interval_omissions_ != 0 || interval_omitted_ != 0;
-  if (opt_.observer != nullptr && active) {
-    obs::RoundObservation round;
-    round.round = cur_round_;
-    round.alive = n_ - res_.crashes;
-    round.halted = 0;
-    round.senders = 0;
-    round.deterministic = 0;
-    for (ProcessId i = 0; i < n_; ++i) {
-      if (crashed_[i]) continue;
-      if (views_[i].decided) ++round.decided;
-      if (views_[i].estimate == Bit::One)
-        ++round.ones;
-      else
-        ++round.zeros;
-    }
-    round.budget_left = interval_budget_open_;
-    round.crashes = interval_crashes_;
-    round.delivered = interval_delivered_;
-    round.omissions = interval_omissions_;
-    round.omitted = interval_omitted_;
-    opt_.observer->on_round_end(round);
+  const std::uint32_t budget_open = opt_.t_budget - res_.faults.crashes;
+  const FaultTally interval = std::exchange(interval_, FaultTally{});
+  res_.faults += interval;
+  if (opt_.observer == nullptr || interval == FaultTally{}) return;
+  obs::RoundObservation round;
+  round.round = cur_round_;
+  round.alive = n_ - res_.faults.crashes;
+  for (ProcessId i = 0; i < n_; ++i) {
+    if (crashed_[i]) continue;
+    if (views_[i].decided) ++round.decided;
+    if (views_[i].estimate == Bit::One)
+      ++round.ones;
+    else
+      ++round.zeros;
   }
-  interval_crashes_ = 0;
-  interval_delivered_ = 0;
-  interval_omissions_ = 0;
-  interval_omitted_ = 0;
-  interval_budget_open_ = crash_budget_;
+  round.budget_left = budget_open;
+  round.faults = interval;
+  opt_.observer->on_round_end(round);
 }
 
 void AsyncCore::do_next_event(SimTime now_time, std::uint64_t tag) {
@@ -415,8 +396,8 @@ void AsyncCore::harvest() {
     }
   }
   res_.end_time = now();
+  flush_interval();
   if (opt_.observer != nullptr) {
-    flush_interval();
     obs::RunObservation end;
     end.terminated = res_.terminated;
     end.agreement = res_.agreement;
@@ -424,16 +405,11 @@ void AsyncCore::harvest() {
     end.decision = res_.decision == Bit::One ? 1 : 0;
     end.rounds_to_decision = res_.max_round;
     end.rounds_to_halt = res_.max_round;
-    end.crashes_total = res_.crashes;
-    end.messages_delivered = res_.messages_delivered;
-    end.omissions_total = res_.omissions;
-    end.messages_omitted = res_.messages_omitted;
-    end.survivors = n_ - res_.crashes;
+    end.faults = res_.faults;
+    end.survivors = n_ - res_.faults.crashes;
     opt_.observer->on_run_end(end);
-  } else {
-    flush_interval();
   }
-  auditor_.on_end(res_.crashes, res_.omissions);
+  auditor_.on_end(res_.faults.crashes, res_.faults.omissions);
 }
 
 AsyncRunResult AsyncCore::run() {
@@ -485,7 +461,7 @@ AsyncRunResult AsyncCore::run() {
     if (events_.dispatched() >= max_events_) break;  // timer livelock guard
 
     if (!held_view_.empty()) {
-      AsyncWorld world(held_view_, views_, crashed_, crash_budget_,
+      AsyncWorld world(held_view_, views_, crashed_, crash_budget(),
                        res_.steps);
       const AsyncAction action = scheduler_.step(world);
       if (action.kind == AsyncAction::Kind::Crash) {

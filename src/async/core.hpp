@@ -84,15 +84,14 @@ struct AsyncRunResult {
   bool validity = true;  ///< unanimous-input runs decided the common input
   Bit decision = Bit::Zero;
   std::uint64_t steps = 0;  ///< deliveries (the scheduler-step count)
-  /// Messages handed to a recipient's on_message — the same event the sync
-  /// engine's RunResult::messages_delivered counts, so the two models'
-  /// message complexities compare directly (examples/sync_vs_async.cpp).
-  std::uint64_t messages_delivered = 0;
   std::uint32_t max_round = 0;   ///< highest protocol round reached
   std::uint64_t coin_flips = 0;  ///< total across processes
-  std::uint32_t crashes = 0;
-  std::uint32_t omissions = 0;          ///< omission injections fired
-  std::uint64_t messages_omitted = 0;   ///< messages suppressed by them
+  /// Crashes, omission injections fired and the messages they suppressed,
+  /// and `delivered`: messages handed to a recipient's on_message, the
+  /// event the sync engine's `delivered` counts, so the two models' message
+  /// complexities compare directly (examples/sync_vs_async.cpp). The async
+  /// model has no value faults: the corruption pair stays 0.
+  FaultTally faults;
   std::uint64_t timers_fired = 0;
   SimTime end_time = 0;       ///< simulated instant the run ended
   SimTime decision_time = 0;  ///< when the last live process decided

@@ -71,15 +71,17 @@ void AsyncRunStats::add(const AsyncRunResult& rep) {
     metrics_.summary("ticks_to_decision")
         .add(static_cast<double>(rep.decision_time));
   }
-  metrics_.summary("crashes_used").add(static_cast<double>(rep.crashes));
+  metrics_.summary("crashes_used")
+      .add(static_cast<double>(rep.faults.crashes));
   metrics_.summary("messages_delivered")
-      .add(static_cast<double>(rep.messages_delivered));
+      .add(static_cast<double>(rep.faults.delivered));
   metrics_.summary("coin_flips").add(static_cast<double>(rep.coin_flips));
   metrics_.summary("timers_fired")
       .add(static_cast<double>(rep.timers_fired));
-  metrics_.summary("omissions_used").add(static_cast<double>(rep.omissions));
+  metrics_.summary("omissions_used")
+      .add(static_cast<double>(rep.faults.omissions));
   metrics_.summary("messages_omitted")
-      .add(static_cast<double>(rep.messages_omitted));
+      .add(static_cast<double>(rep.faults.omitted));
 }
 
 const Summary& AsyncRunStats::rounds_to_decision() const {

@@ -1,10 +1,10 @@
 #include "exec/batch.hpp"
 
-#include <array>
 #include <utility>
 
 #include "common/check.hpp"
 #include "obs/checkpoint.hpp"
+#include "obs/trace_aggregate.hpp"
 
 namespace synran {
 
@@ -96,15 +96,6 @@ std::string rep_error_message(std::size_t rep, std::uint64_t seed,
          std::to_string(seed) + ") failed: " + what;
 }
 
-constexpr std::array<const char*, 6> kCounters = {
-    "reps",           "agreement_failures", "validity_failures",
-    "non_terminated", "decided_one",        "reps_quarantined"};
-
-constexpr std::array<const char*, 8> kSyncSummaries = {
-    "rounds_to_decision", "rounds_to_halt",   "crashes_used",
-    "messages_delivered", "omissions_used",   "messages_omitted",
-    "corruptions_used",   "messages_corrupted"};
-
 }  // namespace
 
 RepError::RepError(std::size_t rep, std::uint64_t seed,
@@ -117,7 +108,7 @@ BatchStats::BatchStats(const char* label,
                        std::span<const char* const> summaries)
     : label_(label), summaries_(summaries) {
   for (const char* name : summaries_) metrics_.summary(name);
-  for (const char* name : kCounters) metrics_.counter(name);
+  for (const char* name : obs::kRunCounters) metrics_.counter(name);
 }
 
 void BatchStats::note_quarantined(RepFailure failure) {
@@ -179,7 +170,7 @@ void BatchStats::restore(const obs::JsonValue& payload) {
     SYNRAN_REQUIRE(metrics_.has_summary(name),
                    label + " checkpoint missing summary: " + name);
   }
-  for (const char* name : kCounters) {
+  for (const char* name : obs::kRunCounters) {
     SYNRAN_REQUIRE(metrics_.has_counter(name),
                    label + " checkpoint missing counter: " + name);
   }
@@ -205,28 +196,14 @@ void BatchStats::restore(const obs::JsonValue& payload) {
                  label + " checkpoint failure list disagrees with counter");
 }
 
-RepeatedRunStats::RepeatedRunStats() : BatchStats("stats", kSyncSummaries) {}
+RepeatedRunStats::RepeatedRunStats()
+    : BatchStats("stats", obs::kRunSummaries) {}
 
 void RepeatedRunStats::add(const RunSummary& rep) {
   count_rep(rep.terminated, rep.has_decision && !rep.agreement, rep.validity,
             rep.agreement && rep.decision == Bit::One);
-  if (rep.terminated) {
-    metrics_.summary("rounds_to_decision")
-        .add(static_cast<double>(rep.rounds_to_decision));
-    metrics_.summary("rounds_to_halt")
-        .add(static_cast<double>(rep.rounds_to_halt));
-  }
-  metrics_.summary("crashes_used").add(static_cast<double>(rep.crashes_total));
-  metrics_.summary("messages_delivered")
-      .add(static_cast<double>(rep.messages_delivered));
-  metrics_.summary("omissions_used")
-      .add(static_cast<double>(rep.omissions_total));
-  metrics_.summary("messages_omitted")
-      .add(static_cast<double>(rep.messages_omitted));
-  metrics_.summary("corruptions_used")
-      .add(static_cast<double>(rep.corruptions_total));
-  metrics_.summary("messages_corrupted")
-      .add(static_cast<double>(rep.messages_corrupted));
+  obs::fold_run_summaries(metrics_, rep.terminated, rep.rounds_to_decision,
+                          rep.rounds_to_halt, rep.faults);
 }
 
 const Summary& RepeatedRunStats::rounds_to_decision() const {

@@ -313,7 +313,7 @@ State initial_state(const ProcessFactory& factory,
 ValencyVerdict evaluate_initial_state(const ProcessFactory& factory,
                                       const std::vector<Bit>& inputs,
                                       const ValencyOptions& options) {
-  SYNRAN_REQUIRE(!inputs.empty() && inputs.size() <= 6,
+  SYNRAN_REQUIRE(!inputs.empty() && inputs.size() <= kValencyMaxN,
                  "valency engine is for tiny systems (n <= 6)");
   SYNRAN_REQUIRE(options.t_budget < inputs.size(),
                  "t must leave at least one process alive");
@@ -336,7 +336,8 @@ ValencyVerdict evaluate_after_plan(const WorldView& world,
                                    const FaultPlan& plan,
                                    const ValencyOptions& options,
                                    double round_for_classification) {
-  SYNRAN_REQUIRE(world.n() <= 6, "valency engine is for tiny systems");
+  SYNRAN_REQUIRE(world.n() <= kValencyMaxN,
+                 "valency engine is for tiny systems");
   SYNRAN_REQUIRE(plan.crash_count() <= world.budget_left(),
                  "plan exceeds the execution's remaining budget");
 

@@ -73,6 +73,10 @@ struct ValencyVerdict {
   bool saw_disagreement = false;
 };
 
+/// Largest system the exact engine evaluates: its tree enumerates coin
+/// vectors and fault actions of every process.
+inline constexpr std::uint32_t kValencyMaxN = 6;
+
 /// Evaluates the initial state of `factory` on `inputs`.
 ValencyVerdict evaluate_initial_state(const ProcessFactory& factory,
                                       const std::vector<Bit>& inputs,

@@ -152,4 +152,27 @@ struct FaultPlan {
   std::size_t corruption_count() const { return corruptions.size(); }
 };
 
+/// What the adversary spent and the fabric carried over one span of an
+/// execution — a round, an async interval, or a whole run — named as the
+/// trace keys. Spans add up: a run's tally is the sum of its rounds'.
+struct FaultTally {
+  std::uint32_t crashes = 0;      ///< crash directives (victims)
+  std::uint64_t delivered = 0;    ///< point-to-point deliveries
+  std::uint32_t omissions = 0;    ///< omission directives
+  std::uint64_t omitted = 0;      ///< links they suppressed
+  std::uint32_t corruptions = 0;  ///< corruption directives
+  std::uint64_t corrupted = 0;    ///< links they forged
+
+  FaultTally& operator+=(const FaultTally& o) {
+    crashes += o.crashes;
+    delivered += o.delivered;
+    omissions += o.omissions;
+    omitted += o.omitted;
+    corruptions += o.corruptions;
+    corrupted += o.corrupted;
+    return *this;
+  }
+  friend bool operator==(const FaultTally&, const FaultTally&) = default;
+};
+
 }  // namespace synran

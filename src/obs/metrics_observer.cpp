@@ -39,10 +39,10 @@ void MetricsObserver::on_run_begin(const RunInfo&) {
 
 void MetricsObserver::on_round_end(const RoundObservation& round) {
   registry_->counter("rounds").inc();
-  registry_->counter("crashes").inc(round.crashes);
-  registry_->counter("messages_delivered").inc(round.delivered);
+  registry_->counter("crashes").inc(round.faults.crashes);
+  registry_->counter("messages_delivered").inc(round.faults.delivered);
   registry_->histogram("crashes_per_round", crash_bounds())
-      .add(static_cast<double>(round.crashes));
+      .add(static_cast<double>(round.faults.crashes));
 }
 
 void MetricsObserver::on_run_end(const RunObservation& result) {
@@ -55,9 +55,9 @@ void MetricsObserver::on_run_end(const RunObservation& result) {
         .add(static_cast<double>(result.rounds_to_halt));
   }
   registry_->summary("crashes_total")
-      .add(static_cast<double>(result.crashes_total));
+      .add(static_cast<double>(result.faults.crashes));
   registry_->summary("messages_total")
-      .add(static_cast<double>(result.messages_delivered));
+      .add(static_cast<double>(result.faults.delivered));
 }
 
 }  // namespace synran::obs

@@ -44,8 +44,8 @@ struct RunInfo {
   std::uint32_t byzantine_round_cap = 0;  ///< 0 = uncapped
 };
 
-/// One round's observables. At on_round_begin the crash/delivery fields are
-/// still zero; on_round_end re-delivers the same round with them filled.
+/// One round's observables. At on_round_begin `faults` is still zero;
+/// on_round_end re-delivers the same round with it filled.
 struct RoundObservation {
   Round round = 0;
   std::uint32_t alive = 0;    ///< not crashed (halted included)
@@ -56,12 +56,7 @@ struct RoundObservation {
   std::uint32_t deterministic = 0;  ///< senders in SynRan's det stage
   std::uint32_t decided = 0;  ///< live processes with decided() true
   std::uint32_t budget_left = 0;    ///< crash budget before this round
-  std::uint32_t crashes = 0;        ///< victims of this round's plan
-  std::uint64_t delivered = 0;      ///< point-to-point deliveries this round
-  std::uint32_t omissions = 0;      ///< omission directives in this plan
-  std::uint64_t omitted = 0;        ///< links suppressed this round
-  std::uint32_t corruptions = 0;    ///< corruption directives in this plan
-  std::uint64_t corrupted = 0;      ///< links forged this round
+  FaultTally faults;                ///< this round's plan and deliveries
 };
 
 /// Final verdicts of one execution (a flattened RunResult, kept here so the
@@ -73,12 +68,7 @@ struct RunObservation {
   int decision = 0;
   std::uint32_t rounds_to_decision = 0;
   std::uint32_t rounds_to_halt = 0;
-  std::uint32_t crashes_total = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint32_t omissions_total = 0;     ///< omission directives spent
-  std::uint64_t messages_omitted = 0;    ///< links suppressed in total
-  std::uint32_t corruptions_total = 0;   ///< corruption directives spent
-  std::uint64_t messages_corrupted = 0;  ///< links forged in total
+  FaultTally faults;  ///< the run total: the sum of its rounds'
   std::uint32_t survivors = 0;  ///< processes never crashed
 };
 
@@ -105,7 +95,7 @@ class EngineObserver {
   virtual void on_fault_plan(Round /*round*/, const FaultPlan& /*plan*/) {}
   /// Phase B finished; `delivered` is this round's point-to-point total.
   virtual void on_deliveries(Round /*round*/, std::uint64_t /*delivered*/) {}
-  /// Crashes committed; `round` now carries crashes/delivered/budget.
+  /// Crashes committed; `round.faults` now carries the round's tally.
   virtual void on_round_end(const RoundObservation& /*round*/) {}
   virtual void on_run_end(const RunObservation& /*result*/) {}
   /// An execution threw before reaching on_run_end. May fire instead of —

@@ -2,24 +2,28 @@
 
 namespace synran::obs {
 
+void fold_run_summaries(MetricsRegistry& metrics, bool terminated,
+                        std::uint32_t rounds_to_decision,
+                        std::uint32_t rounds_to_halt,
+                        const FaultTally& faults) {
+  if (terminated) {
+    metrics.summary(kRunSummaries[0])
+        .add(static_cast<double>(rounds_to_decision));
+    metrics.summary(kRunSummaries[1]).add(static_cast<double>(rounds_to_halt));
+  }
+  const std::uint64_t spent[] = {faults.crashes,     faults.delivered,
+                                 faults.omissions,   faults.omitted,
+                                 faults.corruptions, faults.corrupted};
+  for (std::size_t i = 0; i < std::size(spent); ++i)
+    metrics.summary(kRunSummaries[2 + i]).add(static_cast<double>(spent[i]));
+}
+
 TraceAggregator::TraceAggregator() {
   // Mirror exec::RepeatedRunStats' pre-registered layout exactly, so the
   // snapshot of an aggregated trace is byte-comparable to the batch's own
   // statistics.
-  metrics_.summary("rounds_to_decision");
-  metrics_.summary("rounds_to_halt");
-  metrics_.summary("crashes_used");
-  metrics_.summary("messages_delivered");
-  metrics_.summary("omissions_used");
-  metrics_.summary("messages_omitted");
-  metrics_.summary("corruptions_used");
-  metrics_.summary("messages_corrupted");
-  metrics_.counter("reps");
-  metrics_.counter("agreement_failures");
-  metrics_.counter("validity_failures");
-  metrics_.counter("non_terminated");
-  metrics_.counter("decided_one");
-  metrics_.counter("reps_quarantined");
+  for (const char* name : kRunSummaries) metrics_.summary(name);
+  for (const char* name : kRunCounters) metrics_.counter(name);
 }
 
 void TraceAggregator::on_run_begin(const RunInfo& /*info*/) {}
@@ -33,25 +37,9 @@ void TraceAggregator::on_run_end(const RunObservation& res) {
   // Same fold as RepeatedRunStats::add, minus validity (not recorded in
   // traces; the counter stays at its registered zero).
   metrics_.counter("reps").inc();
-  if (!res.terminated) {
-    metrics_.counter("non_terminated").inc();
-  } else {
-    metrics_.summary("rounds_to_decision")
-        .add(static_cast<double>(res.rounds_to_decision));
-    metrics_.summary("rounds_to_halt")
-        .add(static_cast<double>(res.rounds_to_halt));
-  }
-  metrics_.summary("crashes_used").add(static_cast<double>(res.crashes_total));
-  metrics_.summary("messages_delivered")
-      .add(static_cast<double>(res.messages_delivered));
-  metrics_.summary("omissions_used")
-      .add(static_cast<double>(res.omissions_total));
-  metrics_.summary("messages_omitted")
-      .add(static_cast<double>(res.messages_omitted));
-  metrics_.summary("corruptions_used")
-      .add(static_cast<double>(res.corruptions_total));
-  metrics_.summary("messages_corrupted")
-      .add(static_cast<double>(res.messages_corrupted));
+  if (!res.terminated) metrics_.counter("non_terminated").inc();
+  fold_run_summaries(metrics_, res.terminated, res.rounds_to_decision,
+                     res.rounds_to_halt, res.faults);
   if (res.has_decision && !res.agreement)
     metrics_.counter("agreement_failures").inc();
   if (res.agreement && res.decision == 1)

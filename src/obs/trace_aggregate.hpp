@@ -16,6 +16,7 @@
 //     when one is seen so clean traces match RepeatedRunStats exactly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "obs/metrics.hpp"
@@ -23,6 +24,26 @@
 #include "obs/trace_record.hpp"
 
 namespace synran::obs {
+
+/// The verdict counters exec::BatchStats and TraceAggregator register.
+inline constexpr std::array<const char*, 6> kRunCounters = {
+    "reps",           "agreement_failures", "validity_failures",
+    "non_terminated", "decided_one",        "reps_quarantined"};
+
+/// The per-run summaries exec::RepeatedRunStats and TraceAggregator
+/// register, in order: the two round counts, then one per FaultTally field.
+inline constexpr std::array<const char*, 8> kRunSummaries = {
+    "rounds_to_decision", "rounds_to_halt",   "crashes_used",
+    "messages_delivered", "omissions_used",   "messages_omitted",
+    "corruptions_used",   "messages_corrupted"};
+
+/// Folds one run into the kRunSummaries of `metrics`: the round counts
+/// when it terminated, its fault tally always. RepeatedRunStats::add and
+/// TraceAggregator::on_run_end both call it.
+void fold_run_summaries(MetricsRegistry& metrics, bool terminated,
+                        std::uint32_t rounds_to_decision,
+                        std::uint32_t rounds_to_halt,
+                        const FaultTally& faults);
 
 class TraceAggregator final : public EngineObserver {
  public:

@@ -31,6 +31,19 @@ void put_varint(std::string& buf, std::uint64_t v) {
   buf.push_back(static_cast<char>(v));
 }
 
+/// The gated tail `round` and `run_end` share: the omission pair, then the
+/// corruption pair, each only when its gate is on.
+void put_gated(std::string& buf, TraceGates gates, const FaultTally& f) {
+  if (gates.omissions) {
+    put_varint(buf, f.omissions);
+    put_varint(buf, f.omitted);
+  }
+  if (gates.corruptions) {
+    put_varint(buf, f.corruptions);
+    put_varint(buf, f.corrupted);
+  }
+}
+
 }  // namespace
 
 BinaryTraceWriter::BinaryTraceWriter(std::ostream& out, Trace2Header header)
@@ -72,12 +85,10 @@ void BinaryTraceWriter::close() {
 
 void BinaryTraceWriter::on_run_begin(const RunInfo& info) {
   ++runs_;
-  emit_omissions_ = info.omission_budget > 0 || info.omission_round_cap > 0;
-  emit_corruptions_ =
-      info.byzantine_budget > 0 || info.byzantine_round_cap > 0;
+  gates_ = TraceGates::of(info);
   std::uint8_t flags = 0;
-  if (emit_omissions_) flags |= kTrace2FlagOmissions;
-  if (emit_corruptions_) flags |= kTrace2FlagCorruptions;
+  if (gates_.omissions) flags |= kTrace2FlagOmissions;
+  if (gates_.corruptions) flags |= kTrace2FlagCorruptions;
   scratch_.clear();
   scratch_.push_back(static_cast<char>(kTrace2KindRunBegin));
   scratch_.push_back(static_cast<char>(flags));
@@ -85,11 +96,11 @@ void BinaryTraceWriter::on_run_begin(const RunInfo& info) {
   put_varint(scratch_, info.t_budget);
   put_varint(scratch_, info.per_round_cap);
   put_varint(scratch_, info.seed);
-  if (emit_omissions_) {
+  if (gates_.omissions) {
     put_varint(scratch_, info.omission_budget);
     put_varint(scratch_, info.omission_round_cap);
   }
-  if (emit_corruptions_) {
+  if (gates_.corruptions) {
     put_varint(scratch_, info.byzantine_budget);
     put_varint(scratch_, info.byzantine_round_cap);
   }
@@ -107,17 +118,10 @@ void BinaryTraceWriter::on_round_end(const RoundObservation& r) {
   put_varint(scratch_, r.zeros);
   put_varint(scratch_, r.deterministic);
   put_varint(scratch_, r.decided);
-  put_varint(scratch_, r.crashes);
+  put_varint(scratch_, r.faults.crashes);
   put_varint(scratch_, r.budget_left);
-  put_varint(scratch_, r.delivered);
-  if (emit_omissions_) {
-    put_varint(scratch_, r.omissions);
-    put_varint(scratch_, r.omitted);
-  }
-  if (emit_corruptions_) {
-    put_varint(scratch_, r.corruptions);
-    put_varint(scratch_, r.corrupted);
-  }
+  put_varint(scratch_, r.faults.delivered);
+  put_gated(scratch_, gates_, r.faults);
   emit(scratch_);
 }
 
@@ -132,17 +136,10 @@ void BinaryTraceWriter::on_run_end(const RunObservation& res) {
   scratch_.push_back(static_cast<char>(flags));
   put_varint(scratch_, res.rounds_to_decision);
   put_varint(scratch_, res.rounds_to_halt);
-  put_varint(scratch_, res.crashes_total);
-  put_varint(scratch_, res.messages_delivered);
+  put_varint(scratch_, res.faults.crashes);
+  put_varint(scratch_, res.faults.delivered);
   put_varint(scratch_, res.survivors);
-  if (emit_omissions_) {
-    put_varint(scratch_, res.omissions_total);
-    put_varint(scratch_, res.messages_omitted);
-  }
-  if (emit_corruptions_) {
-    put_varint(scratch_, res.corruptions_total);
-    put_varint(scratch_, res.messages_corrupted);
-  }
+  put_gated(scratch_, gates_, res.faults);
   emit(scratch_);
   out_->flush();
 }
@@ -212,6 +209,20 @@ std::uint64_t BinaryTraceReader::read_varint(const char* what) {
   fail(std::string(what) + ": varint longer than 10 bytes");
 }
 
+void BinaryTraceReader::read_gated(bool run_end, FaultTally& f) {
+  if (gates_.omissions) {
+    f.omissions = static_cast<std::uint32_t>(
+        read_varint(run_end ? "run_end omissions" : "round omissions"));
+    f.omitted = read_varint(run_end ? "run_end omitted" : "round omitted");
+  }
+  if (gates_.corruptions) {
+    f.corruptions = static_cast<std::uint32_t>(
+        read_varint(run_end ? "run_end corruptions" : "round corruptions"));
+    f.corrupted =
+        read_varint(run_end ? "run_end corrupted" : "round corrupted");
+  }
+}
+
 void BinaryTraceReader::read_header() {
   std::string header(kTrace2HeaderSize, '\0');
   in_->read(header.data(), static_cast<std::streamsize>(header.size()));
@@ -253,21 +264,21 @@ bool BinaryTraceReader::next(TraceRecord& out) {
       if ((flags & ~(kTrace2FlagOmissions | kTrace2FlagCorruptions)) != 0) {
         fail("run_begin carries unknown flags");
       }
-      emit_omissions_ = (flags & kTrace2FlagOmissions) != 0;
-      emit_corruptions_ = (flags & kTrace2FlagCorruptions) != 0;
+      gates_ = {(flags & kTrace2FlagOmissions) != 0,
+                (flags & kTrace2FlagCorruptions) != 0};
       RunInfo& b = out.begin;
       b.n = static_cast<std::uint32_t>(read_varint("run_begin n"));
       b.t_budget = static_cast<std::uint32_t>(read_varint("run_begin t"));
       b.per_round_cap =
           static_cast<std::uint32_t>(read_varint("run_begin per_round_cap"));
       b.seed = read_varint("run_begin seed");
-      if (emit_omissions_) {
+      if (gates_.omissions) {
         b.omission_budget = static_cast<std::uint32_t>(
             read_varint("run_begin omission_budget"));
         b.omission_round_cap = static_cast<std::uint32_t>(
             read_varint("run_begin omission_round_cap"));
       }
-      if (emit_corruptions_) {
+      if (gates_.corruptions) {
         b.byzantine_budget = static_cast<std::uint32_t>(
             read_varint("run_begin byzantine_budget"));
         b.byzantine_round_cap = static_cast<std::uint32_t>(
@@ -286,20 +297,12 @@ bool BinaryTraceReader::next(TraceRecord& out) {
       r.zeros = static_cast<std::uint32_t>(read_varint("round zeros"));
       r.deterministic = static_cast<std::uint32_t>(read_varint("round det"));
       r.decided = static_cast<std::uint32_t>(read_varint("round decided"));
-      r.crashes = static_cast<std::uint32_t>(read_varint("round crashes"));
+      r.faults.crashes =
+          static_cast<std::uint32_t>(read_varint("round crashes"));
       r.budget_left =
           static_cast<std::uint32_t>(read_varint("round budget_left"));
-      r.delivered = read_varint("round delivered");
-      if (emit_omissions_) {
-        r.omissions =
-            static_cast<std::uint32_t>(read_varint("round omissions"));
-        r.omitted = read_varint("round omitted");
-      }
-      if (emit_corruptions_) {
-        r.corruptions =
-            static_cast<std::uint32_t>(read_varint("round corruptions"));
-        r.corrupted = read_varint("round corrupted");
-      }
+      r.faults.delivered = read_varint("round delivered");
+      read_gated(/*run_end=*/false, r.faults);
       return true;
     }
     case kTrace2KindRunEnd: {
@@ -319,21 +322,12 @@ bool BinaryTraceReader::next(TraceRecord& out) {
           read_varint("run_end rounds_to_decision"));
       res.rounds_to_halt =
           static_cast<std::uint32_t>(read_varint("run_end rounds_to_halt"));
-      res.crashes_total =
+      res.faults.crashes =
           static_cast<std::uint32_t>(read_varint("run_end crashes"));
-      res.messages_delivered = read_varint("run_end delivered");
+      res.faults.delivered = read_varint("run_end delivered");
       res.survivors =
           static_cast<std::uint32_t>(read_varint("run_end survivors"));
-      if (emit_omissions_) {
-        res.omissions_total =
-            static_cast<std::uint32_t>(read_varint("run_end omissions"));
-        res.messages_omitted = read_varint("run_end omitted");
-      }
-      if (emit_corruptions_) {
-        res.corruptions_total =
-            static_cast<std::uint32_t>(read_varint("run_end corruptions"));
-        res.messages_corrupted = read_varint("run_end corrupted");
-      }
+      read_gated(/*run_end=*/true, res.faults);
       return true;
     }
     case kTrace2KindRunAbandoned: {

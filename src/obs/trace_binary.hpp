@@ -66,8 +66,7 @@ class BinaryTraceWriter final : public TraceWriter {
   std::ostream* out_ = nullptr;
   Trace2Header header_;
   bool header_written_ = false;
-  bool emit_omissions_ = false;  ///< latched per run from RunInfo
-  bool emit_corruptions_ = false;  ///< latched per run from RunInfo
+  TraceGates gates_;  ///< latched per run from RunInfo
   std::uint64_t events_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t runs_ = 0;
@@ -104,13 +103,14 @@ class BinaryTraceReader final : public TraceReader {
   bool read_byte(std::uint8_t& out, bool eof_ok);
   std::uint8_t require_byte(const char* what);
   std::uint64_t read_varint(const char* what);
+  /// The gated tail of a round (`run_end` false) or run_end record.
+  void read_gated(bool run_end, FaultTally& f);
 
   std::unique_ptr<std::istream> owned_;
   std::istream* in_;
   std::string path_;  ///< for error messages; "<stream>" when borrowed
   std::uint64_t offset_ = 0;
-  bool emit_omissions_ = false;  ///< latched per run, like the writer
-  bool emit_corruptions_ = false;  ///< latched per run, like the writer
+  TraceGates gates_;  ///< latched per run from the flags, like the writer
   std::uint16_t seed_schema_ = 0;
   std::string git_rev_;
 };

@@ -27,6 +27,23 @@ bool get_bool(const JsonValue& ev, const char* key, bool& out) {
   return true;
 }
 
+/// The gated tail `round` and `run_end` share; false when a field the
+/// run's gates promise is missing or not an integer.
+bool get_gated(const JsonValue& ev, TraceGates gates, FaultTally& f) {
+  return (!gates.omissions || (get_uint(ev, "omissions", f.omissions) &&
+                               get_uint(ev, "omitted", f.omitted))) &&
+         (!gates.corruptions ||
+          (get_uint(ev, "corruptions", f.corruptions) &&
+           get_uint(ev, "corrupted", f.corrupted)));
+}
+
+/// An optional pair of run_begin limits: absent, or both integers.
+bool get_pair(const JsonValue& ev, const char* a, std::uint32_t& out_a,
+              const char* b, std::uint32_t& out_b) {
+  return ev.find(a) == nullptr ||
+         (get_uint(ev, a, out_a) && get_uint(ev, b, out_b));
+}
+
 }  // namespace
 
 JsonlTraceReader::JsonlTraceReader(std::istream& in)
@@ -78,13 +95,18 @@ bool JsonlTraceReader::next(TraceRecord& out) {
         !get_uint(ev, "seed", out.begin.seed)) {
       fail("run_begin missing a required field");
     }
-    // Omission limits are additive and presence-gated; a run_begin without
-    // them is a fail-stop run (both zero).
-    if (ev.find("omission_budget") != nullptr &&
-        (!get_uint(ev, "omission_budget", out.begin.omission_budget) ||
-         !get_uint(ev, "omission_round_cap", out.begin.omission_round_cap))) {
+    // Omission and byzantine limits are additive and presence-gated; a
+    // run_begin without them is a fail-stop run (all zero).
+    RunInfo& b = out.begin;
+    if (!get_pair(ev, "omission_budget", b.omission_budget,
+                  "omission_round_cap", b.omission_round_cap)) {
       fail("run_begin omission fields malformed");
     }
+    if (!get_pair(ev, "byzantine_budget", b.byzantine_budget,
+                  "byzantine_round_cap", b.byzantine_round_cap)) {
+      fail("run_begin byzantine fields malformed");
+    }
+    gates_ = TraceGates::of(b);
     return true;
   }
   if (name == "round") {
@@ -96,15 +118,13 @@ bool JsonlTraceReader::next(TraceRecord& out) {
         !get_uint(ev, "zeros", r.zeros) ||
         !get_uint(ev, "det", r.deterministic) ||
         !get_uint(ev, "decided", r.decided) ||
-        !get_uint(ev, "crashes", r.crashes) ||
+        !get_uint(ev, "crashes", r.faults.crashes) ||
         !get_uint(ev, "budget_left", r.budget_left) ||
-        !get_uint(ev, "delivered", r.delivered)) {
+        !get_uint(ev, "delivered", r.faults.delivered)) {
       fail("round missing a required field");
     }
-    if (ev.find("omissions") != nullptr &&
-        (!get_uint(ev, "omissions", r.omissions) ||
-         !get_uint(ev, "omitted", r.omitted))) {
-      fail("round omission fields malformed");
+    if (!get_gated(ev, gates_, r.faults)) {
+      fail("round omission/corruption fields malformed");
     }
     return true;
   }
@@ -121,15 +141,13 @@ bool JsonlTraceReader::next(TraceRecord& out) {
         !get_bool(ev, "agreement", res.agreement) ||
         !get_uint(ev, "rounds_to_decision", res.rounds_to_decision) ||
         !get_uint(ev, "rounds_to_halt", res.rounds_to_halt) ||
-        !get_uint(ev, "crashes", res.crashes_total) ||
-        !get_uint(ev, "delivered", res.messages_delivered) ||
+        !get_uint(ev, "crashes", res.faults.crashes) ||
+        !get_uint(ev, "delivered", res.faults.delivered) ||
         !get_uint(ev, "survivors", res.survivors)) {
       fail("run_end missing a required field");
     }
-    if (ev.find("omissions") != nullptr &&
-        (!get_uint(ev, "omissions", res.omissions_total) ||
-         !get_uint(ev, "omitted", res.messages_omitted))) {
-      fail("run_end omission fields malformed");
+    if (!get_gated(ev, gates_, res.faults)) {
+      fail("run_end omission/corruption fields malformed");
     }
     return true;
   }

@@ -31,10 +31,11 @@ class TraceReader {
   virtual bool next(TraceRecord& out) = 0;
 };
 
-/// Decodes synran-trace/1 JSONL. Omission-gated fields are recognized by
-/// presence, mirroring the writer's per-run latch; the "run" indices the
-/// writer derives are validated implicitly by replay (writers re-derive
-/// them), not parsed into the records.
+/// Decodes synran-trace/1 JSONL. A run_begin's gated limits are recognized
+/// by presence and latch the run's TraceGates, which then require the
+/// gated fields of its round and run_end events, as the writer wrote them;
+/// the "run" indices the writer derives are validated implicitly by replay
+/// (writers re-derive them), not parsed into the records.
 class JsonlTraceReader final : public TraceReader {
  public:
   /// Borrowed stream; must outlive the reader.
@@ -55,6 +56,7 @@ class JsonlTraceReader final : public TraceReader {
   std::istream* in_;
   std::string path_;  ///< for error messages; "<stream>" when borrowed
   std::uint64_t line_ = 0;
+  TraceGates gates_;  ///< latched per run from run_begin
 };
 
 }  // namespace synran::obs

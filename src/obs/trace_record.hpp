@@ -45,6 +45,20 @@ struct TraceRecord {
   RunAbandoned abandoned;    ///< RunAbandoned
 };
 
+/// Which gated field groups a run's records carry, decided once from its
+/// RunInfo: a non-zero omission (byzantine) budget or round cap adds the
+/// omission (corruption) fields to run_begin, round and run_end. Writers
+/// and readers of both formats latch one per run.
+struct TraceGates {
+  bool omissions = false;
+  bool corruptions = false;
+
+  static TraceGates of(const RunInfo& info) {
+    return {info.omission_budget > 0 || info.omission_round_cap > 0,
+            info.byzantine_budget > 0 || info.byzantine_round_cap > 0};
+  }
+};
+
 /// Captures the callback stream into a borrowed vector (cleared on
 /// construction), preserving callback order and every payload.
 class TraceRecorder final : public EngineObserver {

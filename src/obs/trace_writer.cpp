@@ -5,6 +5,22 @@
 #include "obs/json.hpp"
 
 namespace synran::obs {
+namespace {
+
+/// The gated tail `round` and `run_end` share: the omission pair, then the
+/// corruption pair, each only when its gate is on.
+void set_gated(JsonValue& ev, TraceGates gates, const FaultTally& f) {
+  if (gates.omissions) {
+    ev.set("omissions", JsonValue(f.omissions))
+        .set("omitted", JsonValue(f.omitted));
+  }
+  if (gates.corruptions) {
+    ev.set("corruptions", JsonValue(f.corruptions))
+        .set("corrupted", JsonValue(f.corrupted));
+  }
+}
+
+}  // namespace
 
 JsonlTraceWriter::JsonlTraceWriter(std::ostream& out, bool flush_each)
     : out_(&out), flush_each_(flush_each) {}
@@ -25,9 +41,7 @@ void JsonlTraceWriter::write_line(const JsonValue& event) {
 void JsonlTraceWriter::on_run_begin(const RunInfo& info) {
   ++runs_;
   in_run_ = true;
-  emit_omissions_ = info.omission_budget > 0 || info.omission_round_cap > 0;
-  emit_corruptions_ =
-      info.byzantine_budget > 0 || info.byzantine_round_cap > 0;
+  gates_ = TraceGates::of(info);
   JsonValue ev = JsonValue::object()
                      .set("event", "run_begin")
                      .set("schema", kTraceSchema)
@@ -36,11 +50,11 @@ void JsonlTraceWriter::on_run_begin(const RunInfo& info) {
                      .set("t", JsonValue(info.t_budget))
                      .set("per_round_cap", JsonValue(info.per_round_cap))
                      .set("seed", JsonValue(info.seed));
-  if (emit_omissions_) {
+  if (gates_.omissions) {
     ev.set("omission_budget", JsonValue(info.omission_budget))
         .set("omission_round_cap", JsonValue(info.omission_round_cap));
   }
-  if (emit_corruptions_) {
+  if (gates_.corruptions) {
     ev.set("byzantine_budget", JsonValue(info.byzantine_budget))
         .set("byzantine_round_cap", JsonValue(info.byzantine_round_cap));
   }
@@ -59,17 +73,10 @@ void JsonlTraceWriter::on_round_end(const RoundObservation& r) {
                      .set("zeros", JsonValue(r.zeros))
                      .set("det", JsonValue(r.deterministic))
                      .set("decided", JsonValue(r.decided))
-                     .set("crashes", JsonValue(r.crashes))
+                     .set("crashes", JsonValue(r.faults.crashes))
                      .set("budget_left", JsonValue(r.budget_left))
-                     .set("delivered", JsonValue(r.delivered));
-  if (emit_omissions_) {
-    ev.set("omissions", JsonValue(r.omissions))
-        .set("omitted", JsonValue(r.omitted));
-  }
-  if (emit_corruptions_) {
-    ev.set("corruptions", JsonValue(r.corruptions))
-        .set("corrupted", JsonValue(r.corrupted));
-  }
+                     .set("delivered", JsonValue(r.faults.delivered));
+  set_gated(ev, gates_, r.faults);
   write_line(ev);
 }
 
@@ -84,17 +91,10 @@ void JsonlTraceWriter::on_run_end(const RunObservation& res) {
                                             : JsonValue(nullptr))
           .set("rounds_to_decision", JsonValue(res.rounds_to_decision))
           .set("rounds_to_halt", JsonValue(res.rounds_to_halt))
-          .set("crashes", JsonValue(res.crashes_total))
-          .set("delivered", JsonValue(res.messages_delivered))
+          .set("crashes", JsonValue(res.faults.crashes))
+          .set("delivered", JsonValue(res.faults.delivered))
           .set("survivors", JsonValue(res.survivors));
-  if (emit_omissions_) {
-    ev.set("omissions", JsonValue(res.omissions_total))
-        .set("omitted", JsonValue(res.messages_omitted));
-  }
-  if (emit_corruptions_) {
-    ev.set("corruptions", JsonValue(res.corruptions_total))
-        .set("corrupted", JsonValue(res.messages_corrupted));
-  }
+  set_gated(ev, gates_, res.faults);
   in_run_ = false;
   write_line(ev);
   out_->flush();

@@ -34,7 +34,9 @@
 //   round:     "corruptions":CD (directives), "corrupted":CL (forged links)
 //   run_end:   "corruptions":CD, "corrupted":CL (run totals)
 // Runs under the fail-stop default (all limits zero) omit these fields
-// entirely, so existing traces stay byte-identical.
+// entirely, so existing traces stay byte-identical. `round` and `run_end`
+// thus carry the same FaultTally keys, and each run_end equals the sum of
+// its rounds.
 //
 // The same event stream has a varint-packed binary twin, schema
 // "synran-trace/2" (trace_format.hpp / trace_binary.hpp); both writers
@@ -51,6 +53,7 @@
 #include "obs/io_error.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_format.hpp"
+#include "obs/trace_record.hpp"
 
 namespace synran::obs {
 
@@ -110,8 +113,7 @@ class JsonlTraceWriter final : public TraceWriter {
 
   std::ostream* out_ = nullptr;
   bool flush_each_ = false;
-  bool emit_omissions_ = false;  ///< latched per run from RunInfo
-  bool emit_corruptions_ = false;  ///< latched per run from RunInfo
+  TraceGates gates_;     ///< latched per run from RunInfo
   bool in_run_ = false;  ///< run_begin seen, no run_end/run_abandoned yet
   std::uint64_t events_ = 0;
   std::uint64_t bytes_ = 0;

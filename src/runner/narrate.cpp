@@ -40,7 +40,7 @@ std::string composition_bar(const RoundObservation& r, std::size_t width) {
 bool same_shape(const RoundObservation& a, const RoundObservation& b) {
   return a.alive == b.alive && a.halted == b.halted &&
          a.senders == b.senders && a.ones == b.ones && a.zeros == b.zeros &&
-         a.crashes == b.crashes && a.decided == b.decided;
+         a.faults.crashes == b.faults.crashes && a.decided == b.decided;
 }
 
 void emit_line(std::ostream& os, const RoundObservation& r, std::size_t repeat,
@@ -51,7 +51,7 @@ void emit_line(std::ostream& os, const RoundObservation& r, std::size_t repeat,
      << "  decided " << std::setw(4) << r.decided;
   if (r.halted > 0) os << "  halted " << r.halted;
   if (r.deterministic > 0) os << "  det-stage " << r.deterministic;
-  if (r.crashes > 0) os << "  CRASH x" << r.crashes;
+  if (r.faults.crashes > 0) os << "  CRASH x" << r.faults.crashes;
   if (repeat > 1) os << "   (x" << repeat << " rounds)";
   os << '\n';
 }
@@ -62,7 +62,7 @@ void narrate(std::span<const obs::TraceRecord> run, std::ostream& os,
              const NarrateOptions& options) {
   const auto [info, rounds] = rounds_of(run);
   std::uint32_t crashes = 0;
-  for (const auto& r : rounds) crashes += r.crashes;
+  for (const auto& r : rounds) crashes += r.faults.crashes;
   os << "execution narrative: n = " << info.n << ", t = " << info.t_budget
      << ", " << rounds.size() << " rounds, " << crashes << " crashes\n";
   std::size_t i = 0;
@@ -107,15 +107,15 @@ InvariantReport check_model_invariants(std::span<const obs::TraceRecord> run) {
       report.fail(at + "payload value counts exceed senders");
     if (r.budget_left != budget)
       report.fail(at + "budget accounting diverged");
-    if (r.crashes > budget)
+    if (r.faults.crashes > budget)
       report.fail(at + "crashes exceed remaining budget");
-    if (r.crashes > r.senders)
+    if (r.faults.crashes > r.senders)
       report.fail(at + "crashed a non-sender");
 
-    budget -= std::min(budget, r.crashes);
+    budget -= std::min(budget, r.faults.crashes);
     prev_alive = r.alive;
     prev_halted = r.halted;
-    prev_crashes = r.crashes;
+    prev_crashes = r.faults.crashes;
   }
   return report;
 }

@@ -18,10 +18,10 @@
 //     re-crash) — "silence of the dead";
 //   * a decided process never flips its decision, and decided() never
 //     reverts (the paper's "cannot change its decision");
-//   * messages_delivered is exactly the surviving-sender broadcast count:
-//     full broadcasts reach every active receiver, a crashed sender reaches
-//     exactly deliver_to ∩ active, and each omission subtracts exactly
-//     drop_for ∩ active.
+//   * a round's delivered count is exactly the surviving-sender broadcast
+//     count: full broadcasts reach every active receiver, a crashed sender
+//     reaches exactly deliver_to ∩ active, and each omission subtracts
+//     exactly drop_for ∩ active.
 //
 // The directive-shape rules are net/fabric.hpp's `check_plan`, which
 // on_plan runs after its budget, cap and re-crash checks; the engine

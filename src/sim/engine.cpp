@@ -92,9 +92,6 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
   auto& have_receipt = ws_.have_receipt_;
 
   RunSummary sum;
-  std::uint32_t budget_left = options.t_budget;
-  std::uint32_t omission_budget_left = options.omission_budget;
-  std::uint32_t corruption_budget_left = options.byzantine_budget;
 
   for (Round r = 1; r <= options.max_rounds; ++r) {
     // --- Phase A: local computation, coins, message preparation. Only live
@@ -132,6 +129,8 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
       break;
     }
 
+    // Each budget left is its limit minus the run's spend so far.
+    const std::uint32_t budget_left = options.t_budget - sum.faults.crashes;
     obs::RoundObservation round_obs;
     if (observer != nullptr) {
       round_obs =
@@ -140,18 +139,21 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     }
 
     // --- Adversary intervention.
-    const std::uint32_t cap = options.per_round_cap;
-    WorldView world(r, n, alive, halted, payloads, procs, budget_left, cap,
-                    omission_budget_left, options.omission_round_cap,
-                    corruption_budget_left, options.byzantine_round_cap);
+    WorldView world(r, n, alive, halted, payloads, procs, budget_left,
+                    options.per_round_cap,
+                    options.omission_budget - sum.faults.omissions,
+                    options.omission_round_cap,
+                    options.byzantine_budget - sum.faults.corruptions,
+                    options.byzantine_round_cap);
     FaultPlan plan = adversary.plan_round(world);
     auditor.on_plan(r, plan, payloads);
     if (observer != nullptr) observer->on_fault_plan(r, plan);
 
     // --- Phase B: delivery to surviving, non-halted receivers.
-    std::uint64_t round_delivered = 0;
-    std::uint64_t round_omitted = 0;
-    std::uint64_t round_corrupted = 0;
+    FaultTally round;
+    round.crashes = static_cast<std::uint32_t>(plan.crash_count());
+    round.omissions = static_cast<std::uint32_t>(plan.omission_count());
+    round.corruptions = static_cast<std::uint32_t>(plan.corruption_count());
     active = alive;
     for (const auto& c : plan.crashes) active.reset(c.victim);
     halted.for_each_set([&](std::size_t i) { active.reset(i); });
@@ -161,43 +163,25 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
                          auditor.plan_victims(), active, receipts);
     active.for_each_set([&](std::size_t i) {
       have_receipt[i] = 1;
-      round_delivered += receipts[i].count;
+      round.delivered += receipts[i].count;
     });
-    sum.messages_delivered += round_delivered;
     for (const auto& o : plan.omissions)
-      round_omitted += o.drop_for.count_and(active);
+      round.omitted += o.drop_for.count_and(active);
     for (const auto& cd : plan.corruptions)
       for (const auto& fg : cd.forgeries)
-        if (active.test(fg.target)) ++round_corrupted;
-    auditor.on_deliveries(r, plan, payloads, active, round_delivered);
-    if (observer != nullptr) observer->on_deliveries(r, round_delivered);
+        if (active.test(fg.target)) ++round.corrupted;
+    auditor.on_deliveries(r, plan, payloads, active, round.delivered);
+    if (observer != nullptr) observer->on_deliveries(r, round.delivered);
 
-    // Commit the crashes and the omission/corruption spend.
-    budget_left -= static_cast<std::uint32_t>(plan.crash_count());
-    sum.crashes_total += static_cast<std::uint32_t>(plan.crash_count());
-    omission_budget_left -= static_cast<std::uint32_t>(plan.omission_count());
-    sum.omissions_total += static_cast<std::uint32_t>(plan.omission_count());
-    sum.messages_omitted += round_omitted;
-    corruption_budget_left -=
-        static_cast<std::uint32_t>(plan.corruption_count());
-    sum.corruptions_total +=
-        static_cast<std::uint32_t>(plan.corruption_count());
-    sum.messages_corrupted += round_corrupted;
-    if (full != nullptr)
-      ws_.crashes_per_round_.push_back(
-          static_cast<std::uint32_t>(plan.crash_count()));
+    // Commit the crashes and the round's spend.
+    sum.faults += round;
+    if (full != nullptr) ws_.crashes_per_round_.push_back(round.crashes);
     for (const auto& c : plan.crashes) {
       alive.reset(c.victim);
       payloads[c.victim].reset();  // the dead stay silent from next round on
     }
     if (observer != nullptr) {
-      round_obs.crashes = static_cast<std::uint32_t>(plan.crash_count());
-      round_obs.delivered = round_delivered;
-      round_obs.omissions = static_cast<std::uint32_t>(plan.omission_count());
-      round_obs.omitted = round_omitted;
-      round_obs.corruptions =
-          static_cast<std::uint32_t>(plan.corruption_count());
-      round_obs.corrupted = round_corrupted;
+      round_obs.faults = round;
       observer->on_round_end(round_obs);
     }
   }
@@ -261,12 +245,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     ro.decision = to_int(sum.decision);
     ro.rounds_to_decision = sum.rounds_to_decision;
     ro.rounds_to_halt = sum.rounds_to_halt;
-    ro.crashes_total = sum.crashes_total;
-    ro.messages_delivered = sum.messages_delivered;
-    ro.omissions_total = sum.omissions_total;
-    ro.messages_omitted = sum.messages_omitted;
-    ro.corruptions_total = sum.corruptions_total;
-    ro.messages_corrupted = sum.messages_corrupted;
+    ro.faults = sum.faults;
     ro.survivors = static_cast<std::uint32_t>(alive.count());
     observer->on_run_end(ro);
   }

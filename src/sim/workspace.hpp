@@ -42,23 +42,13 @@ struct RunSummary {
   /// still holds the inputs, so summary-only callers never need them back).
   bool validity = true;
 
-  std::uint32_t crashes_total = 0;
-  /// Total point-to-point deliveries (communication complexity; a broadcast
-  /// to k receivers counts k).
-  std::uint64_t messages_delivered = 0;
-
-  /// Omission directives the adversary spent (0 under the fail-stop default).
-  std::uint32_t omissions_total = 0;
-  /// Point-to-point messages actually suppressed by omissions (each directive
-  /// contributes |drop_for ∩ active receivers|).
-  std::uint64_t messages_omitted = 0;
-
-  /// Corruption directives the adversary spent (0 under the fail-stop
-  /// default).
-  std::uint32_t corruptions_total = 0;
-  /// Point-to-point messages actually forged (each directive contributes its
-  /// number of forgeries whose target is an active receiver).
-  std::uint64_t messages_corrupted = 0;
+  /// The adversary's spend and the deliveries, summed over the rounds.
+  /// `delivered` is the communication complexity (a broadcast to k
+  /// receivers counts k); `omitted` counts |drop_for ∩ active receivers|
+  /// per omission directive and `corrupted` the forgeries whose target is
+  /// an active receiver. All but crashes and deliveries stay 0 under the
+  /// fail-stop default.
+  FaultTally faults;
 };
 
 /// Pre-sized buffers for Engine runs, reused across repetitions. The input

@@ -30,7 +30,7 @@ TEST(StaticCrashTest, ExecutesScheduleExactly) {
   EngineOptions opts;
   opts.t_budget = 2;
   const auto res = run_once(factory, half_inputs(4), adv, opts);
-  EXPECT_EQ(res.crashes_total, 2u);
+  EXPECT_EQ(res.faults.crashes, 2u);
   EXPECT_TRUE(res.crashed[0]);
   EXPECT_TRUE(res.crashed[1]);
   EXPECT_FALSE(res.crashed[2]);
@@ -46,7 +46,7 @@ TEST(StaticCrashTest, SkipsDeadAndRespectsBudget) {
   EngineOptions opts;
   opts.t_budget = 2;
   const auto res = run_once(factory, half_inputs(4), adv, opts);
-  EXPECT_EQ(res.crashes_total, 2u);  // dead victim skipped, budget capped
+  EXPECT_EQ(res.faults.crashes, 2u);  // dead victim skipped, budget capped
 }
 
 TEST(StaticCrashTest, RejectsOutOfRangeRecipients) {
@@ -68,7 +68,7 @@ TEST(RandomCrashTest, NeverExceedsBudgetAndKeepsProtocolSafe) {
     opts.seed = seed;
     opts.max_rounds = 5000;
     const auto res = run_once(factory, half_inputs(24), adv, opts);
-    EXPECT_LE(res.crashes_total, 10u);
+    EXPECT_LE(res.faults.crashes, 10u);
     EXPECT_TRUE(res.terminated) << "seed " << seed;
     EXPECT_TRUE(res.agreement) << "seed " << seed;
   }
@@ -83,7 +83,7 @@ TEST(RandomCrashTest, SeededReproducibility) {
   opts.seed = 3;
   const auto r1 = run_once(factory, half_inputs(16), a1, opts);
   const auto r2 = run_once(factory, half_inputs(16), a2, opts);
-  EXPECT_EQ(r1.crashes_total, r2.crashes_total);
+  EXPECT_EQ(r1.faults.crashes, r2.faults.crashes);
   EXPECT_EQ(r1.rounds_to_halt, r2.rounds_to_halt);
   EXPECT_EQ(r1.decision, r2.decision);
 }
@@ -103,7 +103,7 @@ TEST(ChainHidingTest, ForcesFloodMinThroughFullSchedule) {
   const auto res = run_once(factory, inputs, adv, opts);
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
-  EXPECT_EQ(res.crashes_total, t);
+  EXPECT_EQ(res.faults.crashes, t);
   // One crash per round, every round of the schedule.
   for (std::uint32_t r = 0; r < t; ++r)
     EXPECT_EQ(res.crashes_per_round[r], 1u) << "round " << r + 1;
@@ -141,7 +141,7 @@ TEST(ChainHidingTest, IdlesWithoutAUniqueHolder) {
   // Two zeros: no unique holder, the adversary must do nothing.
   std::vector<Bit> inputs{Bit::Zero, Bit::Zero, Bit::One, Bit::One};
   const auto res = run_once(factory, inputs, adv, opts);
-  EXPECT_EQ(res.crashes_total, 0u);
+  EXPECT_EQ(res.faults.crashes, 0u);
 }
 
 // ---------------------------------------------------------------- coinbias
@@ -156,7 +156,7 @@ TEST(CoinBiasTest, RespectsPerRoundCapAndBudget) {
   opts.max_rounds = 20000;
   const auto res = run_once(factory, half_inputs(n), adv, opts);
   EXPECT_TRUE(res.terminated);
-  EXPECT_LE(res.crashes_total, n / 2);
+  EXPECT_LE(res.faults.crashes, n / 2);
   for (auto c : res.crashes_per_round) EXPECT_LE(c, opts.per_round_cap);
 }
 
@@ -228,7 +228,7 @@ TEST(ValencySamplingTest, SafeAndBudgetDisciplined) {
   const auto res = run_once(factory, half_inputs(n), adv, opts);
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
-  EXPECT_LE(res.crashes_total, 8u);
+  EXPECT_LE(res.faults.crashes, 8u);
   for (auto c : res.crashes_per_round) EXPECT_LE(c, 4u);
 }
 

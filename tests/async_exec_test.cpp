@@ -403,7 +403,7 @@ TEST(AsyncEngineFaults, TimetableCrashComposesWithTimedDelays) {
   opts.faults = &faults;
   const AsyncRunResult res =
       run_async(factory, bits({0, 1, 1, 0, 1}), sched, opts);
-  EXPECT_EQ(res.crashes, 1u);
+  EXPECT_EQ(res.faults.crashes, 1u);
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
   EXPECT_GT(res.end_time, 12u);
@@ -439,8 +439,8 @@ TEST(AsyncEngineFaults, OmissionInjectionSpendsBudgetAndDropsMessages) {
   retransmit.retransmit_every = 20;  // keeps the run live despite the drops
   const AsyncRunResult res = run_async(BenOrAsyncFactory(retransmit),
                                        bits({0, 1, 1, 0, 1}), sched, opts);
-  EXPECT_EQ(res.omissions, 1u);
-  EXPECT_EQ(res.messages_omitted, 3u);
+  EXPECT_EQ(res.faults.omissions, 1u);
+  EXPECT_EQ(res.faults.omitted, 3u);
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
 
@@ -473,7 +473,7 @@ TEST(AsyncPartialSynchrony, GstDeadlinesForceDecisionAfterGst) {
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
   EXPECT_GE(res.decision_time, delay.gst());
-  EXPECT_EQ(res.steps, res.messages_delivered);
+  EXPECT_EQ(res.steps, res.faults.delivered);
 }
 
 TEST(AsyncPartialSynchrony, RetransmissionRecoversOmittedQuorum) {
@@ -526,10 +526,10 @@ TEST(AsyncGolden, FixedDelayBenOrPinned) {
       run_async(factory, bits({0, 1, 0, 1, 0, 1, 0, 1}), sched, opts);
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
-  EXPECT_EQ(res.steps, res.messages_delivered);
+  EXPECT_EQ(res.steps, res.faults.delivered);
   // Golden values (seed 42, n=8, t=2, alternating inputs):
   EXPECT_EQ(res.max_round, 3u);
-  EXPECT_EQ(res.messages_delivered, 240u);
+  EXPECT_EQ(res.faults.delivered, 240u);
   EXPECT_EQ(res.coin_flips, 8u);
   EXPECT_EQ(res.end_time, 4u);
   EXPECT_EQ(to_int(res.decision), 1);

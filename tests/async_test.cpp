@@ -53,7 +53,7 @@ TEST(AsyncEngineTest, SingleProcessDecidesImmediately) {
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
   EXPECT_EQ(res.decision, Bit::One);
-  EXPECT_EQ(res.crashes, 0u);
+  EXPECT_EQ(res.faults.crashes, 0u);
 }
 
 TEST(AsyncEngineTest, ValidityUnderEveryScheduler) {
@@ -107,7 +107,7 @@ TEST(AsyncEngineTest, LaggardSchedulerStillTerminatesAndAgrees) {
         run_async(factory, bits({0, 1, 0, 1, 0, 1, 0, 1, 0}), sched, opts);
     ASSERT_TRUE(res.terminated) << "seed " << seed;
     EXPECT_TRUE(res.agreement) << "seed " << seed;
-    EXPECT_LE(res.crashes, 4u);
+    EXPECT_LE(res.faults.crashes, 4u);
   }
 }
 
@@ -208,7 +208,7 @@ TEST(AsyncEngineTest, CrashDropsInTransitTraffic) {
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
   EXPECT_EQ(res.decision, Bit::One);
-  EXPECT_EQ(res.crashes, 1u);
+  EXPECT_EQ(res.faults.crashes, 1u);
 }
 
 // --------------------------------------------- the O(1)-for-small-t story
@@ -334,9 +334,9 @@ std::string outcome(const AsyncProcessFactory& factory,
     const AsyncRunResult r = run_async(factory, inputs, sched, opts);
     os << r.terminated << ' ' << r.decided_live << ' ' << r.agreement << ' '
        << r.validity << ' ' << to_int(r.decision) << ' ' << r.steps << ' '
-       << r.messages_delivered << ' ' << r.max_round << ' ' << r.coin_flips
-       << ' ' << r.crashes << ' ' << r.omissions << ' ' << r.messages_omitted
-       << ' ' << r.timers_fired << ' ' << r.end_time << ' '
+       << r.faults.delivered << ' ' << r.max_round << ' ' << r.coin_flips
+       << ' ' << r.faults.crashes << ' ' << r.faults.omissions << ' '
+       << r.faults.omitted << ' ' << r.timers_fired << ' ' << r.end_time << ' '
        << r.decision_time;
   } catch (const std::exception& e) {
     os << "threw: " << e.what();

@@ -160,8 +160,8 @@ TEST(AuditFuzz, ValidAdversariesNeverTripTheAuditor) {
     ASSERT_NO_THROW(res = run_once(*factory, draw_inputs(rng, n), audited,
                                    opts))
         << "iter " << iter << " adversary " << inner->name();
-    EXPECT_LE(res.crashes_total, t);
-    EXPECT_EQ(audited.auditor().crashes_so_far(), res.crashes_total);
+    EXPECT_LE(res.faults.crashes, t);
+    EXPECT_EQ(audited.auditor().crashes_so_far(), res.faults.crashes);
   }
 }
 
@@ -191,9 +191,9 @@ TEST(AuditFuzz, ChaoticPlansNeverSurviveOverBudget) {
     try {
       const auto res = run_once(*factory, draw_inputs(rng, n), chaos, opts);
       // A chaotic run that completed must nonetheless be model-clean.
-      EXPECT_LE(res.crashes_total, t) << "iter " << iter;
-      EXPECT_LE(res.omissions_total, opts.omission_budget) << "iter " << iter;
-      EXPECT_LE(res.corruptions_total, opts.byzantine_budget)
+      EXPECT_LE(res.faults.crashes, t) << "iter " << iter;
+      EXPECT_LE(res.faults.omissions, opts.omission_budget) << "iter " << iter;
+      EXPECT_LE(res.faults.corruptions, opts.byzantine_budget)
           << "iter " << iter;
       if (opts.per_round_cap != 0) {
         for (auto c : res.crashes_per_round)

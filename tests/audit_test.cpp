@@ -281,8 +281,8 @@ TEST(AuditTest, AuditedAdversaryPassesThroughAndCounts) {
   opts.seed = 7;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, ones(8), audited, opts));
-  EXPECT_EQ(audited.auditor().crashes_so_far(), res.crashes_total);
-  EXPECT_LE(res.crashes_total, 3u);
+  EXPECT_EQ(audited.auditor().crashes_so_far(), res.faults.crashes);
+  EXPECT_LE(res.faults.crashes, 3u);
   EXPECT_STREQ(audited.name(), "audited");
 }
 

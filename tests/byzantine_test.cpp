@@ -237,8 +237,8 @@ TEST(CorruptAudit, AuditedAdversaryTracksCorruptionSpend) {
   opts.seed = 5;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(16), audited, opts));
-  EXPECT_EQ(audited.auditor().corruptions_so_far(), res.corruptions_total);
-  EXPECT_LE(res.corruptions_total, 40u);
+  EXPECT_EQ(audited.auditor().corruptions_so_far(), res.faults.corruptions);
+  EXPECT_LE(res.faults.corruptions, 40u);
 }
 
 // ---------------------------------------------- equivocator injector behavior
@@ -250,8 +250,8 @@ TEST(ByzInjector, RespectsBudgetAndReportsSpend) {
   opts.byzantine_budget = 3;
   opts.seed = 9;
   const auto res = run_once(factory, half_inputs(16), byz, opts);
-  EXPECT_LE(res.corruptions_total, 3u);
-  EXPECT_EQ(byz.corruptions_spent(), res.corruptions_total);
+  EXPECT_LE(res.faults.corruptions, 3u);
+  EXPECT_EQ(byz.corruptions_spent(), res.faults.corruptions);
 }
 
 TEST(ByzInjector, ForgesLinksUnderGenerousBudget) {
@@ -261,12 +261,12 @@ TEST(ByzInjector, ForgesLinksUnderGenerousBudget) {
   opts.byzantine_budget = 1000000;
   opts.seed = 9;
   const auto res = run_once(factory, half_inputs(16), byz, opts);
-  EXPECT_GT(res.corruptions_total, 0u);
-  EXPECT_GT(res.messages_corrupted, 0u);
+  EXPECT_GT(res.faults.corruptions, 0u);
+  EXPECT_GT(res.faults.corrupted, 0u);
   // A directive forges one live sender's links to every other active
   // receiver, so the link count strictly dominates the directive count.
-  EXPECT_GT(res.messages_corrupted, res.corruptions_total);
-  EXPECT_EQ(byz.corruptions_spent(), res.corruptions_total);
+  EXPECT_GT(res.faults.corrupted, res.faults.corruptions);
+  EXPECT_EQ(byz.corruptions_spent(), res.faults.corruptions);
 }
 
 TEST(ByzInjector, ZeroRateMatchesNoAdversary) {
@@ -278,11 +278,11 @@ TEST(ByzInjector, ZeroRateMatchesNoAdversary) {
   const auto baseline = run_once(factory, half_inputs(12), none, opts);
   ByzantineAdversary calm({0.0, 42});
   const auto corrupted = run_once(factory, half_inputs(12), calm, opts);
-  EXPECT_EQ(corrupted.corruptions_total, 0u);
-  EXPECT_EQ(corrupted.messages_corrupted, 0u);
+  EXPECT_EQ(corrupted.faults.corruptions, 0u);
+  EXPECT_EQ(corrupted.faults.corrupted, 0u);
   EXPECT_EQ(corrupted.rounds_to_decision, baseline.rounds_to_decision);
   EXPECT_EQ(corrupted.rounds_to_halt, baseline.rounds_to_halt);
-  EXPECT_EQ(corrupted.messages_delivered, baseline.messages_delivered);
+  EXPECT_EQ(corrupted.faults.delivered, baseline.faults.delivered);
 }
 
 TEST(ByzInjector, StandsDownWithoutBudget) {
@@ -292,7 +292,7 @@ TEST(ByzInjector, StandsDownWithoutBudget) {
   opts.seed = 9;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(16), byz, opts));
-  EXPECT_EQ(res.corruptions_total, 0u);
+  EXPECT_EQ(res.faults.corruptions, 0u);
   EXPECT_EQ(byz.corruptions_spent(), 0u);
 }
 
@@ -316,8 +316,8 @@ TEST(ByzInjector, ComposesWithInnerCrashAdversary) {
   opts.seed = 3;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(16), byz, opts));
-  EXPECT_LE(res.crashes_total, 2u);
-  EXPECT_LE(res.corruptions_total, 500u);
+  EXPECT_LE(res.faults.crashes, 2u);
+  EXPECT_LE(res.faults.corruptions, 500u);
 }
 
 TEST(ByzDeterminism, BitIdenticalAtAnyThreadCount) {
@@ -356,9 +356,9 @@ TEST(ByzCoinAttack, SpendMatchesEngineCounters) {
   opts.max_rounds = 50000;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(20), attack, opts));
-  EXPECT_EQ(attack.corruptions_spent(), res.corruptions_total);
-  EXPECT_LE(res.corruptions_total, 200u);
-  EXPECT_GT(res.corruptions_total, 0u);
+  EXPECT_EQ(attack.corruptions_spent(), res.faults.corruptions);
+  EXPECT_LE(res.faults.corruptions, 200u);
+  EXPECT_GT(res.faults.corruptions, 0u);
 }
 
 TEST(ByzCoinAttack, StandsDownWithoutBudget) {
@@ -368,7 +368,7 @@ TEST(ByzCoinAttack, StandsDownWithoutBudget) {
   opts.seed = 17;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(20), attack, opts));
-  EXPECT_EQ(res.corruptions_total, 0u);
+  EXPECT_EQ(res.faults.corruptions, 0u);
   EXPECT_EQ(attack.corruptions_spent(), 0u);
 }
 
@@ -464,7 +464,7 @@ TEST(ByzHardening, ToleranceFiltersEquivocatedZerosOnUnanimousOne) {
   EXPECT_TRUE(validity_holds(inputs, defended));
   EXPECT_TRUE(defended.agreement);
   EXPECT_EQ(defended.decision, Bit::One);
-  EXPECT_GT(defended.corruptions_total, 0u);
+  EXPECT_GT(defended.faults.corruptions, 0u);
 }
 
 TEST(ByzHardening, ZeroToleranceIsPlainFloodingBitForBit) {

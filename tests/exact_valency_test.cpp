@@ -114,7 +114,7 @@ TEST(ExactValencyAdversaryTest, ForcesControlWithASingleCrash) {
   ASSERT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
   EXPECT_EQ(res.decision, Bit::Zero);
-  EXPECT_EQ(res.crashes_total, 1u);
+  EXPECT_EQ(res.faults.crashes, 1u);
 
   NoAdversary none;
   const auto base =
@@ -140,7 +140,7 @@ TEST(ExactValencyAdversaryTest, WithTwoCrashesStretchesOrControls) {
         run_once(factory, {Bit::Zero, Bit::One, Bit::One}, adv, opts);
     ASSERT_TRUE(res.terminated) << "seed " << seed;
     ASSERT_TRUE(res.agreement) << "seed " << seed;
-    EXPECT_GE(res.crashes_total, 1u) << "seed " << seed;
+    EXPECT_GE(res.faults.crashes, 1u) << "seed " << seed;
     if (res.rounds_to_decision > 2) ++stretched;
     if (res.decision == Bit::Zero) ++flipped;
   }

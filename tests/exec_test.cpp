@@ -673,8 +673,8 @@ void expect_same_summary(const RunSummary& a, const RunSummary& b) {
   EXPECT_EQ(a.has_decision, b.has_decision);
   EXPECT_EQ(a.decision, b.decision);
   EXPECT_EQ(a.validity, b.validity);
-  EXPECT_EQ(a.crashes_total, b.crashes_total);
-  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.faults.crashes, b.faults.crashes);
+  EXPECT_EQ(a.faults.delivered, b.faults.delivered);
 }
 
 TEST(ExecWorkspace, ReuseAcrossRunsAndSizesMatchesFreshWorkspaces) {
@@ -727,7 +727,7 @@ TEST(ExecWorkspace, FullResultPathAgreesWithSummary) {
   // to the summary's total.
   std::uint32_t crash_sum = 0;
   for (std::uint32_t c : full.crashes_per_round) crash_sum += c;
-  EXPECT_EQ(crash_sum, with_full.crashes_total);
+  EXPECT_EQ(crash_sum, with_full.faults.crashes);
   EXPECT_EQ(validity_holds(inputs, full), with_full.validity);
 }
 

@@ -144,7 +144,7 @@ TEST(FuzzGrid, HundredsOfRandomConfigsKeepEveryInvariant) {
     ASSERT_TRUE(report.ok)
         << "iter " << iter << " [" << cfg.label << "]: "
         << (report.violations.empty() ? "" : report.violations.front());
-    EXPECT_LE(res.crashes_total, cfg.t) << cfg.label;
+    EXPECT_LE(res.faults.crashes, cfg.t) << cfg.label;
 
     if (!res.terminated) {
       EXPECT_FALSE(cfg.expect_safety)
@@ -185,9 +185,9 @@ TEST(FuzzGrid, MessageAccountingMatchesTraces) {
       upper += static_cast<std::uint64_t>(r.senders) *
                (r.alive - r.halted);
     }
-    EXPECT_LE(res.messages_delivered, upper) << cfg.label;
+    EXPECT_LE(res.faults.delivered, upper) << cfg.label;
     if (res.rounds_to_halt > 0) {
-      EXPECT_GT(res.messages_delivered, 0u) << cfg.label;
+      EXPECT_GT(res.faults.delivered, 0u) << cfg.label;
     }
   }
 }

@@ -226,7 +226,7 @@ TEST(DeterminismTest, IdenticalSeedsReproduceEntireRuns) {
     const auto r2 = run_once(factory, inputs, a2, opts);
     EXPECT_EQ(r1.rounds_to_decision, r2.rounds_to_decision);
     EXPECT_EQ(r1.rounds_to_halt, r2.rounds_to_halt);
-    EXPECT_EQ(r1.crashes_total, r2.crashes_total);
+    EXPECT_EQ(r1.faults.crashes, r2.faults.crashes);
     EXPECT_EQ(r1.crashes_per_round, r2.crashes_per_round);
     EXPECT_EQ(r1.decision, r2.decision);
   }

@@ -183,7 +183,7 @@ TEST(LeaderKillerTest, StallsLeaderCoinForAboutTRounds) {
   // The killer burns one crash per round; the protocol cannot settle while
   // leaders keep dying, so it stalls for ≈ t rounds and spends the budget.
   EXPECT_GE(res.rounds_to_decision, 18u);
-  EXPECT_EQ(res.crashes_total, 20u);
+  EXPECT_EQ(res.faults.crashes, 20u);
 }
 
 TEST(LeaderKillerTest, HarmlessAgainstSynRan) {

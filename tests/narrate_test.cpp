@@ -207,7 +207,7 @@ TEST(NarrateTest, PersistedTracesTellTheSameStory) {
     if (r.kind != obs::TraceRecordKind::RoundEnd || r.round.round != 2)
       continue;
     r.round.alive += 1;
-    r.round.crashes = 60;
+    r.round.faults.crashes = 60;
   }
   ASSERT_FALSE(check_model_invariants(broken).ok);
 

@@ -341,7 +341,7 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
   for (std::size_t i = 0; i < round_events; ++i) {
     const auto& ev = events[i + 1];
     EXPECT_EQ(ev.find("event")->as_string(), "round");
-    EXPECT_EQ(ev.find("crashes")->as_int(), recorded[i].crashes);
+    EXPECT_EQ(ev.find("crashes")->as_int(), recorded[i].faults.crashes);
     EXPECT_EQ(ev.find("alive")->as_int(), recorded[i].alive);
     EXPECT_EQ(ev.find("senders")->as_int(), recorded[i].senders);
     EXPECT_EQ(static_cast<std::uint32_t>(ev.find("crashes")->as_int()),
@@ -350,9 +350,9 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
 
   // run_end totals match the engine's RunResult.
   const auto& end = events.back();
-  EXPECT_EQ(end.find("crashes")->as_int(), run.result.crashes_total);
+  EXPECT_EQ(end.find("crashes")->as_int(), run.result.faults.crashes);
   EXPECT_EQ(static_cast<std::uint64_t>(end.find("delivered")->as_int()),
-            run.result.messages_delivered);
+            run.result.faults.delivered);
   EXPECT_EQ(end.find("terminated")->as_bool(), run.result.terminated);
   EXPECT_EQ(end.find("agreement")->as_bool(), run.result.agreement);
   ASSERT_TRUE(run.result.has_decision);
@@ -363,9 +363,9 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
   EXPECT_EQ(run.metrics.counter_at("rounds").value(),
             run.result.rounds_to_halt);
   EXPECT_EQ(run.metrics.counter_at("crashes").value(),
-            run.result.crashes_total);
+            run.result.faults.crashes);
   EXPECT_EQ(run.metrics.counter_at("messages_delivered").value(),
-            run.result.messages_delivered);
+            run.result.faults.delivered);
   EXPECT_EQ(run.metrics.histogram_at("crashes_per_round").count(),
             round_events);
 

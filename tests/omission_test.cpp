@@ -173,8 +173,8 @@ TEST(OmissionAudit, AuditedAdversaryTracksOmissionSpend) {
   opts.seed = 5;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(16), audited, opts));
-  EXPECT_EQ(audited.auditor().omissions_so_far(), res.omissions_total);
-  EXPECT_LE(res.omissions_total, 40u);
+  EXPECT_EQ(audited.auditor().omissions_so_far(), res.faults.omissions);
+  EXPECT_LE(res.faults.omissions, 40u);
 }
 
 // -------------------------------------------------- chaos injector behavior
@@ -186,8 +186,8 @@ TEST(ChaosInjector, RespectsBudgetAndReportsSpend) {
   opts.omission_budget = 3;
   opts.seed = 9;
   const auto res = run_once(factory, half_inputs(16), chaos, opts);
-  EXPECT_LE(res.omissions_total, 3u);
-  EXPECT_EQ(chaos.omissions_spent(), res.omissions_total);
+  EXPECT_LE(res.faults.omissions, 3u);
+  EXPECT_EQ(chaos.omissions_spent(), res.faults.omissions);
 }
 
 TEST(ChaosInjector, DropsLinksUnderGenerousBudget) {
@@ -197,9 +197,9 @@ TEST(ChaosInjector, DropsLinksUnderGenerousBudget) {
   opts.omission_budget = 1000000;
   opts.seed = 9;
   const auto res = run_once(factory, half_inputs(16), chaos, opts);
-  EXPECT_GT(res.omissions_total, 0u);
-  EXPECT_GT(res.messages_omitted, 0u);
-  EXPECT_EQ(chaos.omissions_spent(), res.omissions_total);
+  EXPECT_GT(res.faults.omissions, 0u);
+  EXPECT_GT(res.faults.omitted, 0u);
+  EXPECT_EQ(chaos.omissions_spent(), res.faults.omissions);
 }
 
 TEST(ChaosInjector, ZeroRateMatchesNoAdversary) {
@@ -211,11 +211,11 @@ TEST(ChaosInjector, ZeroRateMatchesNoAdversary) {
   const auto baseline = run_once(factory, half_inputs(12), none, opts);
   ChaosAdversary calm({0.0, 42});
   const auto chaotic = run_once(factory, half_inputs(12), calm, opts);
-  EXPECT_EQ(chaotic.omissions_total, 0u);
-  EXPECT_EQ(chaotic.messages_omitted, 0u);
+  EXPECT_EQ(chaotic.faults.omissions, 0u);
+  EXPECT_EQ(chaotic.faults.omitted, 0u);
   EXPECT_EQ(chaotic.rounds_to_decision, baseline.rounds_to_decision);
   EXPECT_EQ(chaotic.rounds_to_halt, baseline.rounds_to_halt);
-  EXPECT_EQ(chaotic.messages_delivered, baseline.messages_delivered);
+  EXPECT_EQ(chaotic.faults.delivered, baseline.faults.delivered);
 }
 
 TEST(ChaosInjector, RejectsDropRateOutsideUnitInterval) {
@@ -238,8 +238,8 @@ TEST(ChaosInjector, ComposesWithInnerCrashAdversary) {
   opts.seed = 3;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(16), chaos, opts));
-  EXPECT_LE(res.crashes_total, 2u);
-  EXPECT_LE(res.omissions_total, 500u);
+  EXPECT_LE(res.faults.crashes, 2u);
+  EXPECT_LE(res.faults.omissions, 500u);
 }
 
 TEST(ChaosDeterminism, BitIdenticalAtAnyThreadCount) {
@@ -278,8 +278,8 @@ TEST(OmissionAttack, SpendMatchesEngineCounters) {
   opts.max_rounds = 50000;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(20), attack, opts));
-  EXPECT_EQ(attack.omissions_spent(), res.omissions_total);
-  EXPECT_LE(res.omissions_total, 200u);
+  EXPECT_EQ(attack.omissions_spent(), res.faults.omissions);
+  EXPECT_LE(res.faults.omissions, 200u);
 }
 
 TEST(OmissionAttack, StandsDownWithoutBudget) {
@@ -289,7 +289,7 @@ TEST(OmissionAttack, StandsDownWithoutBudget) {
   opts.seed = 17;
   RunResult res;
   ASSERT_NO_THROW(res = run_once(factory, half_inputs(20), attack, opts));
-  EXPECT_EQ(res.omissions_total, 0u);
+  EXPECT_EQ(res.faults.omissions, 0u);
   EXPECT_EQ(attack.omissions_spent(), 0u);
 }
 

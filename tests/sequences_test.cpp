@@ -158,7 +158,7 @@ TEST(EngineBoundary, HaltedProcessesReceiveNothing) {
   const auto b = run_once(factory, {Bit::One, Bit::Zero, Bit::One}, none,
                           opts);
   EXPECT_EQ(a.rounds_to_halt, b.rounds_to_halt);
-  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.faults.delivered, b.faults.delivered);
 }
 
 TEST(EngineBoundary, MaxRoundsExactlyAtCompletionStillTerminates) {
@@ -183,7 +183,7 @@ TEST(EngineBoundary, CrashesPerRoundVectorMatchesTotal) {
       factory, std::vector<Bit>(24, Bit::One), adv, opts);
   std::uint32_t acc = 0;
   for (auto c : res.crashes_per_round) acc += c;
-  EXPECT_EQ(acc, res.crashes_total);
+  EXPECT_EQ(acc, res.faults.crashes);
 }
 
 TEST(EngineBoundary, MessageCountMatchesHandComputation) {
@@ -192,7 +192,7 @@ TEST(EngineBoundary, MessageCountMatchesHandComputation) {
   NoAdversary none;
   const auto res = run_once(
       factory, std::vector<Bit>(4, Bit::One), none, {});
-  EXPECT_EQ(res.messages_delivered, 32u);
+  EXPECT_EQ(res.faults.delivered, 32u);
 }
 
 // --------------------------------------------------- valency determinism

@@ -155,7 +155,7 @@ TEST(EngineTest, CountsRoundsWithPaperConvention) {
   EXPECT_EQ(res.rounds_to_halt, 3u);
   EXPECT_TRUE(res.agreement);
   EXPECT_EQ(res.decision, Bit::One);
-  EXPECT_EQ(res.crashes_total, 0u);
+  EXPECT_EQ(res.faults.crashes, 0u);
 }
 
 TEST(EngineTest, DisagreementIsReported) {
@@ -261,7 +261,7 @@ TEST(EngineTest, CrashedProcessIsSilencedForever) {
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.agreement);
   EXPECT_EQ(res.decision, Bit::Zero);
-  EXPECT_EQ(res.crashes_total, 1u);
+  EXPECT_EQ(res.faults.crashes, 1u);
 }
 
 TEST(EngineTest, PartialDeliveryCreatesSplitViews) {
@@ -544,7 +544,7 @@ TEST(RolloutTest, FirstPlanChangesOutcome) {
   EXPECT_TRUE(probed);
   // The real run delivered everything: majority 1.
   EXPECT_EQ(res.decision, Bit::One);
-  EXPECT_EQ(res.crashes_total, 0u);
+  EXPECT_EQ(res.faults.crashes, 0u);
 }
 
 TEST(RolloutTest, BudgetIsThreadedThroughFork) {

@@ -77,10 +77,10 @@ std::vector<obs::TraceRecord> omission_records() {
   round.ones = 16;
   round.zeros = 16;
   round.budget_left = 16;
-  round.crashes = 2;
-  round.delivered = 960;
-  round.omissions = 3;
-  round.omitted = 11;
+  round.faults.crashes = 2;
+  round.faults.delivered = 960;
+  round.faults.omissions = 3;
+  round.faults.omitted = 11;
   recorder.on_round_end(round);
 
   obs::RunObservation end;
@@ -90,15 +90,62 @@ std::vector<obs::TraceRecord> omission_records() {
   end.decision = 1;
   end.rounds_to_decision = 1;
   end.rounds_to_halt = 2;
-  end.crashes_total = 2;
-  end.messages_delivered = 960;
-  end.omissions_total = 3;
-  end.messages_omitted = 11;
+  end.faults.crashes = 2;
+  end.faults.delivered = 960;
+  end.faults.omissions = 3;
+  end.faults.omitted = 11;
   end.survivors = 30;
   recorder.on_run_end(end);
 
   recorder.on_run_abandoned(
       obs::RunAbandoned{1, 0x8000'0000'0000'0001ULL, 0, "setup exploded"});
+  return recs;
+}
+
+/// A synthetic stream with both gated families active.
+std::vector<obs::TraceRecord> corruption_records() {
+  std::vector<obs::TraceRecord> recs;
+  obs::TraceRecorder recorder(recs);
+
+  obs::RunInfo info;
+  info.n = 24;
+  info.t_budget = 8;
+  info.seed = 0xFEED;
+  info.omission_budget = 12;
+  info.omission_round_cap = 2;
+  info.byzantine_budget = 9;
+  info.byzantine_round_cap = 3;
+  recorder.on_run_begin(info);
+
+  obs::RoundObservation round;
+  round.round = 1;
+  round.alive = 24;
+  round.senders = 24;
+  round.ones = 12;
+  round.zeros = 12;
+  round.budget_left = 8;
+  round.faults.delivered = 552;
+  round.faults.omissions = 2;
+  round.faults.omitted = 5;
+  round.faults.corruptions = 3;
+  round.faults.corrupted = 17;
+  recorder.on_round_end(round);
+
+  obs::RunObservation end;
+  end.terminated = true;
+  end.agreement = true;
+  end.has_decision = true;
+  end.decision = 0;
+  end.rounds_to_decision = 1;
+  end.rounds_to_halt = 2;
+  end.faults.delivered = 552;
+  end.faults.omissions = 2;
+  end.faults.omitted = 5;
+  end.faults.corruptions = 3;
+  end.faults.corrupted = 17;
+  end.survivors = 24;
+  recorder.on_run_end(end);
+
   return recs;
 }
 
@@ -138,13 +185,17 @@ TEST(TraceBinRoundTrip, BinaryDecodesBackToTheExactJsonl) {
 }
 
 TEST(TraceBinRoundTrip, JsonlDecodesBackToTheExactBinary) {
-  const std::string direct = to_binary(batch_records());
-  std::istringstream in(to_jsonl(batch_records()));
-  obs::JsonlTraceReader reader(in);
-  std::vector<obs::TraceRecord> records;
-  obs::TraceRecord record;
-  while (reader.next(record)) records.push_back(record);
-  EXPECT_EQ(direct, to_binary(records));
+  // Crash-only, omission and corruption streams: a gated field the JSONL
+  // reader dropped would change the re-encoded bytes.
+  for (const auto& stream :
+       {batch_records(), omission_records(), corruption_records()}) {
+    std::istringstream in(to_jsonl(stream));
+    obs::JsonlTraceReader reader(in);
+    std::vector<obs::TraceRecord> records;
+    obs::TraceRecord record;
+    while (reader.next(record)) records.push_back(record);
+    EXPECT_EQ(to_binary(stream), to_binary(records));
+  }
 }
 
 TEST(TraceBinRoundTrip, OmissionFieldsAndExtremeValuesSurvive) {
@@ -154,7 +205,7 @@ TEST(TraceBinRoundTrip, OmissionFieldsAndExtremeValuesSurvive) {
   ASSERT_EQ(decoded.size(), records.size());
   EXPECT_EQ(decoded[0].begin.seed, 0xFFFF'FFFF'FFFF'FFF5ULL);
   EXPECT_EQ(decoded[0].begin.omission_budget, 40u);
-  EXPECT_EQ(decoded[1].round.omitted, 11u);
+  EXPECT_EQ(decoded[1].round.faults.omitted, 11u);
   EXPECT_EQ(decoded[3].abandoned.seed, 0x8000'0000'0000'0001ULL);
   EXPECT_EQ(decoded[3].abandoned.error, "setup exploded");
 }
@@ -163,57 +214,16 @@ TEST(TraceBinRoundTrip, CorruptionFieldsRideAfterTheOmissionExtras) {
   // A stream with both fault families active: the corruption varint pair is
   // encoded after the omission pair on every record kind, and both must
   // survive the binary round trip exactly.
-  std::vector<obs::TraceRecord> recs;
-  obs::TraceRecorder recorder(recs);
-
-  obs::RunInfo info;
-  info.n = 24;
-  info.t_budget = 8;
-  info.seed = 0xFEED;
-  info.omission_budget = 12;
-  info.omission_round_cap = 2;
-  info.byzantine_budget = 9;
-  info.byzantine_round_cap = 3;
-  recorder.on_run_begin(info);
-
-  obs::RoundObservation round;
-  round.round = 1;
-  round.alive = 24;
-  round.senders = 24;
-  round.ones = 12;
-  round.zeros = 12;
-  round.budget_left = 8;
-  round.delivered = 552;
-  round.omissions = 2;
-  round.omitted = 5;
-  round.corruptions = 3;
-  round.corrupted = 17;
-  recorder.on_round_end(round);
-
-  obs::RunObservation end;
-  end.terminated = true;
-  end.agreement = true;
-  end.has_decision = true;
-  end.decision = 0;
-  end.rounds_to_decision = 1;
-  end.rounds_to_halt = 2;
-  end.messages_delivered = 552;
-  end.omissions_total = 2;
-  end.messages_omitted = 5;
-  end.corruptions_total = 3;
-  end.messages_corrupted = 17;
-  end.survivors = 24;
-  recorder.on_run_end(end);
-
+  const auto recs = corruption_records();
   EXPECT_EQ(to_jsonl(recs), to_jsonl(decode(to_binary(recs))));
   const auto decoded = decode(to_binary(recs));
   ASSERT_EQ(decoded.size(), recs.size());
   EXPECT_EQ(decoded[0].begin.byzantine_budget, 9u);
   EXPECT_EQ(decoded[0].begin.byzantine_round_cap, 3u);
-  EXPECT_EQ(decoded[1].round.omitted, 5u);
-  EXPECT_EQ(decoded[1].round.corruptions, 3u);
-  EXPECT_EQ(decoded[1].round.corrupted, 17u);
-  EXPECT_EQ(decoded[2].end.messages_corrupted, 17u);
+  EXPECT_EQ(decoded[1].round.faults.omitted, 5u);
+  EXPECT_EQ(decoded[1].round.faults.corruptions, 3u);
+  EXPECT_EQ(decoded[1].round.faults.corrupted, 17u);
+  EXPECT_EQ(decoded[2].end.faults.corrupted, 17u);
 }
 
 TEST(TraceBinRoundTrip, HeaderMetadataSurvives) {

@@ -43,13 +43,13 @@ struct RecordedRun {
   }
   std::uint32_t total_crashes() const {
     std::uint32_t acc = 0;
-    for (const auto& r : rounds()) acc += r.crashes;
+    for (const auto& r : rounds()) acc += r.faults.crashes;
     return acc;
   }
   /// Largest crash count in any single round.
   std::uint32_t max_crashes_per_round() const {
     std::uint32_t mx = 0;
-    for (const auto& r : rounds()) mx = std::max(mx, r.crashes);
+    for (const auto& r : rounds()) mx = std::max(mx, r.faults.crashes);
     return mx;
   }
 };
@@ -150,7 +150,7 @@ TEST(TraceInvariantsTest, DetectsCorruptedTraces) {
   }
   {
     RecordedRun bad = run;
-    bad.round(0).crashes = bad.info().t_budget + 1;  // over budget
+    bad.round(0).faults.crashes = bad.info().t_budget + 1;  // over budget
     EXPECT_FALSE(check_model_invariants(bad.records).ok);
   }
   {

@@ -21,6 +21,7 @@
 // reproduces an uninterrupted one and the thread-invariance tests prove a
 // parallel sweep reproduces a serial one. EXPERIMENTS.md documents the
 // schemas field by field.
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -60,6 +61,32 @@ struct Check {
     return v;
   }
 };
+
+/// One run's six fault counters in FaultTally order: the sums a walk
+/// gathers from the round records, or the totals a run_end claims. The
+/// JSONL walk keeps JSON's int64, the binary walk the raw varints.
+template <typename T>
+using Tally = std::array<T, 6>;
+
+constexpr std::array<const char*, 6> kTallyKeys = {
+    "crashes", "delivered", "omissions", "omitted", "corruptions", "corrupted"};
+/// What each mismatch message calls the round-level counts it summed.
+constexpr std::array<const char*, 6> kTallyNouns = {
+    "crashes",       "deliveries",  "omissions",
+    "omitted links", "corruptions", "corrupted links"};
+
+/// Reports every field `present` in a run_end whose claimed total differs
+/// from the sum of its rounds; `at` prefixes each message.
+template <typename T>
+void compare_tally(const Tally<T>& claimed, const Tally<T>& sum,
+                   const std::array<bool, 6>& present, const std::string& at,
+                   Check& c) {
+  for (std::size_t i = 0; i < kTallyKeys.size(); ++i)
+    if (present[i] && claimed[i] != sum[i])
+      c.fail(at + ": run_end." + kTallyKeys[i] + " (" +
+             std::to_string(claimed[i]) + ") != sum of round " +
+             kTallyNouns[i] + " (" + std::to_string(sum[i]) + ")");
+}
 
 void check_bench_report(const JsonValue& doc, Check& c) {
   if (!doc.is_object()) {
@@ -291,12 +318,7 @@ void check_trace_stream(std::istream& in, Check& c) {
   std::size_t line_no = 0;
   bool in_run = false;
   std::int64_t expected_run = 0;
-  std::int64_t crashes_sum = 0;
-  std::int64_t delivered_sum = 0;
-  std::int64_t omissions_sum = 0;
-  std::int64_t omitted_sum = 0;
-  std::int64_t corruptions_sum = 0;
-  std::int64_t corrupted_sum = 0;
+  Tally<std::int64_t> sum{};
 
   while (std::getline(in, line)) {
     ++line_no;
@@ -344,12 +366,7 @@ void check_trace_stream(std::istream& in, Check& c) {
         if (const auto* v = parsed->find(key); v != nullptr && !v->is_int())
           c.fail(at + ": run_begin." + key + " is present but not an integer");
       in_run = true;
-      crashes_sum = 0;
-      delivered_sum = 0;
-      omissions_sum = 0;
-      omitted_sum = 0;
-      corruptions_sum = 0;
-      corrupted_sum = 0;
+      sum = {};
     } else if (kind == "round") {
       if (!in_run) c.fail(at + ": round outside a run");
       for (const char* key :
@@ -357,27 +374,15 @@ void check_trace_stream(std::istream& in, Check& c) {
             "decided", "crashes", "budget_left", "delivered"})
         if (const auto* v = parsed->find(key); v == nullptr || !v->is_int())
           c.fail(at + ": round." + key + " is not an integer");
-      if (const auto* v = parsed->find("crashes"); v != nullptr && v->is_int())
-        crashes_sum += v->as_int();
-      if (const auto* v = parsed->find("delivered");
-          v != nullptr && v->is_int())
-        delivered_sum += v->as_int();
       // Additive round fields under an omission or byzantine budget.
       for (const char* key : {"omissions", "omitted", "corruptions",
                               "corrupted"})
         if (const auto* v = parsed->find(key); v != nullptr && !v->is_int())
           c.fail(at + ": round." + key + " is present but not an integer");
-      if (const auto* v = parsed->find("omissions");
-          v != nullptr && v->is_int())
-        omissions_sum += v->as_int();
-      if (const auto* v = parsed->find("omitted"); v != nullptr && v->is_int())
-        omitted_sum += v->as_int();
-      if (const auto* v = parsed->find("corruptions");
-          v != nullptr && v->is_int())
-        corruptions_sum += v->as_int();
-      if (const auto* v = parsed->find("corrupted");
-          v != nullptr && v->is_int())
-        corrupted_sum += v->as_int();
+      for (std::size_t i = 0; i < kTallyKeys.size(); ++i)
+        if (const auto* v = parsed->find(kTallyKeys[i]);
+            v != nullptr && v->is_int())
+          sum[i] += v->as_int();
     } else if (kind == "run_end") {
       if (!in_run) c.fail(at + ": run_end outside a run");
       for (const char* key : {"terminated", "agreement"})
@@ -391,40 +396,19 @@ void check_trace_stream(std::istream& in, Check& c) {
                               "crashes", "delivered", "survivors"})
         if (const auto* v = parsed->find(key); v == nullptr || !v->is_int())
           c.fail(at + ": run_end." + key + " is not an integer");
-      if (const auto* v = parsed->find("crashes");
-          v != nullptr && v->is_int() && v->as_int() != crashes_sum)
-        c.fail(at + ": run_end.crashes (" + std::to_string(v->as_int()) +
-               ") != sum of round crashes (" + std::to_string(crashes_sum) +
-               ")");
-      if (const auto* v = parsed->find("delivered");
-          v != nullptr && v->is_int() && v->as_int() != delivered_sum)
-        c.fail(at + ": run_end.delivered (" + std::to_string(v->as_int()) +
-               ") != sum of round deliveries (" +
-               std::to_string(delivered_sum) + ")");
       for (const char* key : {"omissions", "omitted", "corruptions",
                               "corrupted"})
         if (const auto* v = parsed->find(key); v != nullptr && !v->is_int())
           c.fail(at + ": run_end." + key + " is present but not an integer");
-      if (const auto* v = parsed->find("omissions");
-          v != nullptr && v->is_int() && v->as_int() != omissions_sum)
-        c.fail(at + ": run_end.omissions (" + std::to_string(v->as_int()) +
-               ") != sum of round omissions (" +
-               std::to_string(omissions_sum) + ")");
-      if (const auto* v = parsed->find("omitted");
-          v != nullptr && v->is_int() && v->as_int() != omitted_sum)
-        c.fail(at + ": run_end.omitted (" + std::to_string(v->as_int()) +
-               ") != sum of round omitted links (" +
-               std::to_string(omitted_sum) + ")");
-      if (const auto* v = parsed->find("corruptions");
-          v != nullptr && v->is_int() && v->as_int() != corruptions_sum)
-        c.fail(at + ": run_end.corruptions (" + std::to_string(v->as_int()) +
-               ") != sum of round corruptions (" +
-               std::to_string(corruptions_sum) + ")");
-      if (const auto* v = parsed->find("corrupted");
-          v != nullptr && v->is_int() && v->as_int() != corrupted_sum)
-        c.fail(at + ": run_end.corrupted (" + std::to_string(v->as_int()) +
-               ") != sum of round corrupted links (" +
-               std::to_string(corrupted_sum) + ")");
+      // Every integer total it carries must equal the sum of its rounds.
+      Tally<std::int64_t> claimed{};
+      std::array<bool, 6> present{};
+      for (std::size_t i = 0; i < kTallyKeys.size(); ++i) {
+        const auto* v = parsed->find(kTallyKeys[i]);
+        present[i] = v != nullptr && v->is_int();
+        if (present[i]) claimed[i] = v->as_int();
+      }
+      compare_tally(claimed, sum, present, at, c);
       in_run = false;
       ++expected_run;
     } else if (kind == "run_abandoned") {
@@ -528,12 +512,19 @@ void check_trace2_stream(const std::string& data, Check& c) {
   bool in_run = false;
   bool omissions = false;
   bool corruptions = false;
-  std::uint64_t crashes_sum = 0;
-  std::uint64_t delivered_sum = 0;
-  std::uint64_t omissions_sum = 0;
-  std::uint64_t omitted_sum = 0;
-  std::uint64_t corruptions_sum = 0;
-  std::uint64_t corrupted_sum = 0;
+  Tally<std::uint64_t> sum{};
+  // The gated tail of a round or run_end record, starting at `f`: the
+  // omission pair, then the corruption pair, each only when its flag is set.
+  auto gated = [&](const std::uint64_t* f, Tally<std::uint64_t>& t) {
+    if (omissions) {
+      t[2] = *f++;
+      t[3] = *f++;
+    }
+    if (corruptions) {
+      t[4] = *f++;
+      t[5] = *f;
+    }
+  };
 
   while (pos < data.size()) {
     const std::size_t at = pos;
@@ -556,8 +547,7 @@ void check_trace2_stream(const std::string& data, Check& c) {
       for (std::size_t f = 0; f < count; ++f)
         if (!varint(v, "run_begin field")) return;
       in_run = true;
-      crashes_sum = delivered_sum = omissions_sum = omitted_sum = 0;
-      corruptions_sum = corrupted_sum = 0;
+      sum = {};
     } else if (kind == kTrace2KindRound) {
       if (!in_run) fail_at(at, "round outside a run");
       std::uint64_t fields[kTrace2RoundFields + kTrace2OmissionFields +
@@ -568,21 +558,10 @@ void check_trace2_stream(const std::string& data, Check& c) {
       for (std::size_t f = 0; f < count; ++f)
         if (!varint(fields[f], "round field")) return;
       // Field order per trace_format.hpp: crashes is the 9th varint,
-      // delivered the 11th, then the omission pair, then the corruption
-      // pair (each present only when its flag is set, always in that
-      // order).
-      crashes_sum += fields[8];
-      delivered_sum += fields[10];
-      std::size_t extra = kTrace2RoundFields;
-      if (omissions) {
-        omissions_sum += fields[extra];
-        omitted_sum += fields[extra + 1];
-        extra += kTrace2OmissionFields;
-      }
-      if (corruptions) {
-        corruptions_sum += fields[extra];
-        corrupted_sum += fields[extra + 1];
-      }
+      // delivered the 11th, then the gated tail.
+      Tally<std::uint64_t> round{fields[8], fields[10]};
+      gated(fields + kTrace2RoundFields, round);
+      for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += round[i];
     } else if (kind == kTrace2KindRunEnd) {
       if (!in_run) fail_at(at, "run_end outside a run");
       if (pos >= data.size()) {
@@ -604,40 +583,13 @@ void check_trace2_stream(const std::string& data, Check& c) {
                                 (corruptions ? kTrace2CorruptionFields : 0);
       for (std::size_t f = 0; f < count; ++f)
         if (!varint(fields[f], "run_end field")) return;
-      // rounds_to_decision, rounds_to_halt, crashes, delivered, survivors.
-      if (fields[2] != crashes_sum)
-        fail_at(at, "run_end.crashes (" + std::to_string(fields[2]) +
-                        ") != sum of round crashes (" +
-                        std::to_string(crashes_sum) + ")");
-      if (fields[3] != delivered_sum)
-        fail_at(at, "run_end.delivered (" + std::to_string(fields[3]) +
-                        ") != sum of round deliveries (" +
-                        std::to_string(delivered_sum) + ")");
-      std::size_t extra = kTrace2RunEndFields;
-      if (omissions) {
-        if (fields[extra] != omissions_sum)
-          fail_at(at, "run_end.omissions (" + std::to_string(fields[extra]) +
-                          ") != sum of round omissions (" +
-                          std::to_string(omissions_sum) + ")");
-        if (fields[extra + 1] != omitted_sum)
-          fail_at(at, "run_end.omitted (" +
-                          std::to_string(fields[extra + 1]) +
-                          ") != sum of round omitted links (" +
-                          std::to_string(omitted_sum) + ")");
-        extra += kTrace2OmissionFields;
-      }
-      if (corruptions) {
-        if (fields[extra] != corruptions_sum)
-          fail_at(at, "run_end.corruptions (" +
-                          std::to_string(fields[extra]) +
-                          ") != sum of round corruptions (" +
-                          std::to_string(corruptions_sum) + ")");
-        if (fields[extra + 1] != corrupted_sum)
-          fail_at(at, "run_end.corrupted (" +
-                          std::to_string(fields[extra + 1]) +
-                          ") != sum of round corrupted links (" +
-                          std::to_string(corrupted_sum) + ")");
-      }
+      // rounds_to_decision, rounds_to_halt, crashes, delivered, survivors,
+      // then the gated tail.
+      Tally<std::uint64_t> claimed{fields[2], fields[3]};
+      gated(fields + kTrace2RunEndFields, claimed);
+      const std::array<bool, 6> present = {
+          true, true, omissions, omissions, corruptions, corruptions};
+      compare_tally(claimed, sum, present, "offset " + std::to_string(at), c);
       in_run = false;
     } else if (kind == kTrace2KindRunAbandoned) {
       std::uint64_t fields[kTrace2AbandonFields] = {};

@@ -642,6 +642,15 @@ int cmd_valency(const Args& args) {
   const auto n = args.num32("n", 3);
   ValencyOptions opts;
   opts.t_budget = args.num32("t", 1);
+  // Checked before the 2^n loop below shifts by n.
+  if (n == 0 || n > kValencyMaxN)
+    throw UsageError("invalid --n " + std::to_string(n) +
+                     ": valency needs 1 <= n <= " +
+                     std::to_string(kValencyMaxN));
+  if (opts.t_budget >= n)
+    throw UsageError("invalid --t " + std::to_string(opts.t_budget) +
+                     " for --n " + std::to_string(n) +
+                     ": valency needs t < n");
   opts.max_depth = args.num32("depth", 14);
   SynRanFactory factory;
 
@@ -788,6 +797,10 @@ int cmd_trace_stats(const Args& args) {
              m.summary_at("messages_delivered").mean()});
   table.row({std::string("omissions used (mean)"),
              m.summary_at("omissions_used").mean()});
+  table.row({std::string("corruptions used (mean)"),
+             m.summary_at("corruptions_used").mean()});
+  table.row({std::string("messages corrupted (mean)"),
+             m.summary_at("messages_corrupted").mean()});
   table.row({std::string("decided 1 / runs"),
              std::to_string(m.counter_at("decided_one").value()) + " / " +
                  std::to_string(m.counter_at("reps").value())});

@@ -2,8 +2,9 @@
 # synran CLI writes one batch's trace in both formats, `synran trace
 # convert` must round-trip them byte-for-byte, the binary file must be at
 # least 4x smaller than its JSONL twin, `trace stats --format=json` must
-# agree across formats, a --threads=4 rerun must produce the identical
-# binary trace, and bench_schema_check --trace must accept every file.
+# agree across formats (and its table show a corrupted-value batch's
+# spend), a --threads=4 rerun must produce the identical binary trace, and
+# bench_schema_check --trace must accept every file.
 # Driven from add_test():
 #
 #   cmake -DCLI=<synran> -DCHECKER=<bench_schema_check> -DWORKDIR=<dir>
@@ -37,13 +38,16 @@ function(expect_same a b what)
   endif()
 endfunction()
 
-# One crash-fault batch and one omission-fault batch (the latter exercises
-# the flag-gated omission fields on the wire); each traced in both formats.
+# One crash-fault batch, one omission-fault batch and one corrupted-value
+# batch (the last two exercise the flag-gated omission and corruption
+# fields on the wire); each traced in both formats.
 set(base run --protocol synran --adversary coinbias
          --n 32 --t 4 --reps 5 --seed 7)
 set(omit run --protocol synran --adversary none
          --n 32 --t 4 --reps 5 --seed 7 --faults=omit:0.2,40)
-foreach(variant base omit)
+set(byz run --protocol synran --adversary none
+        --n 32 --t 4 --reps 5 --seed 7 --faults=byz:0.2,8)
+foreach(variant base omit byz)
   run_or_die(${CLI} ${${variant}}
     --trace-out=${WORKDIR}/${variant}.jsonl --trace-format=jsonl)
   run_or_die(${CLI} ${${variant}}
@@ -81,6 +85,29 @@ foreach(variant base omit)
     message(FATAL_ERROR
       "trace stats --format=json disagrees across formats for ${variant}:\n"
       "jsonl: ${stats_jsonl}\nbin:   ${stats_bin}")
+  endif()
+
+  # The stats table shows the corruption spend, the same from either
+  # format; the byz batch spends corruptions, so its mean is not zero.
+  if(variant STREQUAL "byz")
+    set(means "")
+    foreach(ext jsonl bin)
+      execute_process(COMMAND ${CLI} trace stats --in ${WORKDIR}/byz.${ext}
+        RESULT_VARIABLE rc OUTPUT_VARIABLE table)
+      if(NOT rc EQUAL 0 OR
+         NOT table MATCHES "corruptions used \\(mean\\) *\\| *([0-9.]+)")
+        message(FATAL_ERROR
+          "trace stats on byz.${ext} shows no corruption row (rc=${rc}):\n"
+          "${table}")
+      endif()
+      list(APPEND means "${CMAKE_MATCH_1}")
+    endforeach()
+    list(GET means 0 mean_jsonl)
+    list(GET means 1 mean_bin)
+    if(NOT mean_jsonl STREQUAL mean_bin OR mean_jsonl STREQUAL "0.000")
+      message(FATAL_ERROR "trace stats corruptions used (mean): "
+        "${mean_jsonl} from byz.jsonl, ${mean_bin} from byz.bin")
+    endif()
   endif()
 
   # The independent validator walks both files from the kTrace2* constants.
