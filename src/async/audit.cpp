@@ -31,13 +31,10 @@ void AsyncRunAuditor::begin(std::uint32_t n, std::uint32_t t_budget,
   crashed_.assign(n, false);
 }
 
-void AsyncRunAuditor::note_time(SimTime now) {
-  if (now < last_time_) {
-    std::ostringstream os;
-    os << "event time moved backwards: t=" << now << " after t=" << last_time_;
-    violation(os.str());
-  }
-  last_time_ = now;
+void AsyncRunAuditor::time_violation(SimTime now) const {
+  std::ostringstream os;
+  os << "event time moved backwards: t=" << now << " after t=" << last_time_;
+  violation(os.str());
 }
 
 void AsyncRunAuditor::on_crash(SimTime now, ProcessId victim) {
@@ -56,22 +53,20 @@ void AsyncRunAuditor::on_crash(SimTime now, ProcessId victim) {
   ++crashes_;
 }
 
-void AsyncRunAuditor::on_deliver(SimTime now, const AsyncMessage& msg) {
-  note_time(now);
+void AsyncRunAuditor::deliver_violation(SimTime now,
+                                        const AsyncMessage& msg) const {
   if (msg.to >= n_ || msg.from >= n_)
     violation("delivery with out-of-range endpoints" + at(now));
-  if (crashed_[msg.to])
-    violation("delivery to crashed process " + std::to_string(msg.to) +
-              " (from " + std::to_string(msg.from) + ")" + at(now));
+  violation("delivery to crashed process " + std::to_string(msg.to) +
+            " (from " + std::to_string(msg.from) + ")" + at(now));
 }
 
-void AsyncRunAuditor::on_send(SimTime now, const AsyncMessage& msg) {
-  note_time(now);
+void AsyncRunAuditor::send_violation(SimTime now,
+                                     const AsyncMessage& msg) const {
   if (msg.from >= n_ || msg.to >= n_)
     violation("send with out-of-range endpoints" + at(now));
-  if (crashed_[msg.from])
-    violation("crashed process " + std::to_string(msg.from) + " sent" +
-              at(now));
+  violation("crashed process " + std::to_string(msg.from) + " sent" +
+            at(now));
 }
 
 void AsyncRunAuditor::on_omission(SimTime now, ProcessId sender,

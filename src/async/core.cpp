@@ -13,24 +13,6 @@ namespace synran {
 
 namespace {
 
-/// Wraps a PRNG coin source and counts the flips it serves — the metric
-/// Aspnes's lower bound is about.
-class CountingRandomCoins final : public CoinSource {
- public:
-  explicit CountingRandomCoins(std::uint64_t seed) : rng_(seed) {}
-  bool flip() override {
-    ++count_;
-    return rng_.flip();
-  }
-  std::uint64_t count() const { return count_; }
-
- private:
-  // This *is* a CoinSource implementation (the production-path PRNG behind
-  // flip()), so the direct generator is the point, not a leak around it.
-  Xoshiro256 rng_;  // synran-lint: allow(coin-source)
-  std::uint64_t count_ = 0;
-};
-
 // Event tags: kind in the top bits, payload (arena index / packed timer)
 // below. One EventSource — the core itself — serves every kind.
 constexpr std::uint64_t kKindShift = 60;
@@ -43,18 +25,99 @@ std::uint64_t tag_of(std::uint64_t kind, std::uint64_t payload) {
   return (kind << kKindShift) | payload;
 }
 
+/// Held messages at once; InFlight::pool_pos is 32 bits wide.
+constexpr std::size_t kMaxHeld = 0xffffffffULL;
+
 [[noreturn]] void scheduler_violation(const std::string& what) {
   throw InvariantError("async scheduler: " + what);
 }
 
-/// The run-scoped engine. Owns the EventList, the message arena, the
-/// adversary-held pool, and the observer/auditor plumbing; processes, the
-/// scheduler, and the delay model are borrowed.
+}  // namespace
+
+namespace detail {
+
+/// Wraps a PRNG coin source and counts the flips it serves — the metric
+/// Aspnes's lower bound is about.
+class CountingRandomCoins final : public CoinSource {
+ public:
+  explicit CountingRandomCoins(std::uint64_t seed) : rng_(seed) {}
+  bool flip() override {
+    ++count_;
+    return rng_.flip();
+  }
+  std::uint64_t count() const { return count_; }
+
+  /// Restarts the stream and the count as if freshly constructed.
+  void reseed(std::uint64_t seed) {
+    rng_.reseed(seed);
+    count_ = 0;
+  }
+
+ private:
+  // This *is* a CoinSource implementation (the production-path PRNG behind
+  // flip()), so the direct generator is the point, not a leak around it.
+  Xoshiro256 rng_;  // synran-lint: allow(coin-source)
+  std::uint64_t count_ = 0;
+};
+
+/// One message's lifetime in the fabric. Timed entries wait for their
+/// fabric event; Held entries sit in the scheduler-visible pool (with
+/// pool_pos tracking their index there); Done entries are spent —
+/// delivered, dropped, or suppressed — and any still-queued event for
+/// them dispatches as a no-op. An entry is 24 bytes, since the arena keeps
+/// every message a run sends.
+struct InFlight {
+  AsyncMessage msg;
+  std::uint32_t pool_pos = 0;  ///< route() keeps the pool below 2^32
+  enum class State : std::uint8_t { Timed, Held, Done } state = State::Timed;
+};
+
+}  // namespace detail
+
+/// A run's engine-side buffers, kept across runs. The core resets them in
+/// place when a run starts, and the outbox buffers before each activation.
+struct AsyncWorkspace::Buffers {
+  EventList events;
+  AsyncRunAuditor auditor;
+  std::vector<std::unique_ptr<AsyncProcess>> procs;
+  std::vector<detail::CountingRandomCoins> coins;
+  std::vector<bool> crashed;
+  std::vector<AsyncProcessView> views;
+  std::vector<detail::InFlight> arena;
+  std::vector<AsyncMessage> held_view;
+  std::vector<std::size_t> held_ids;
+  std::vector<AsyncMessage> sends;  ///< the open activation's outbox
+  std::vector<AsyncTimerRequest> timers;
+};
+
+AsyncWorkspace::AsyncWorkspace() : buffers_(std::make_unique<Buffers>()) {}
+AsyncWorkspace::~AsyncWorkspace() = default;
+
+namespace detail {
+
+/// The run-scoped engine. Keeps the EventList, the message arena, the
+/// adversary-held pool and the auditor in the workspace it borrows, and
+/// drives the observer; processes (owned by the workspace but rebuilt each
+/// run), the scheduler, and the delay model are the run's.
 class AsyncCore final : public EventSource {
  public:
   AsyncCore(const AsyncProcessFactory& factory, const std::vector<Bit>& inputs,
-            AsyncScheduler& scheduler, const AsyncEngineOptions& options)
-      : inputs_(inputs), scheduler_(scheduler), opt_(options) {
+            AsyncScheduler& scheduler, const AsyncEngineOptions& options,
+            AsyncWorkspace& workspace)
+      : inputs_(inputs),
+        scheduler_(scheduler),
+        opt_(options),
+        events_(workspace.buffers_->events),
+        auditor_(workspace.buffers_->auditor),
+        procs_(workspace.buffers_->procs),
+        coins_(workspace.buffers_->coins),
+        crashed_(workspace.buffers_->crashed),
+        views_(workspace.buffers_->views),
+        arena_(workspace.buffers_->arena),
+        held_view_(workspace.buffers_->held_view),
+        held_ids_(workspace.buffers_->held_ids),
+        sends_(workspace.buffers_->sends),
+        timers_(workspace.buffers_->timers) {
     n_ = static_cast<std::uint32_t>(inputs.size());
     SYNRAN_REQUIRE(n_ >= 1, "need at least one process");
     SYNRAN_REQUIRE(opt_.t_budget < n_, "t must leave a live process");
@@ -63,15 +126,24 @@ class AsyncCore final : public EventSource {
                       ? opt_.max_events
                       : (opt_.max_steps <= kNever / 4 ? opt_.max_steps * 4
                                                       : kNever - 1);
+    // Nothing of an earlier run on this workspace survives, even one that
+    // threw part-way: its queued events (which point at its core and its
+    // Triggers) and its messages are dropped here, and every activation
+    // starts from an empty outbox.
+    events_.reset();
+    arena_.clear();
+    held_view_.clear();
+    held_ids_.clear();
     SeedSequence seeds(opt_.seed);
-    procs_.reserve(n_);
-    coins_.reserve(n_);
+    procs_.resize(n_);
+    if (coins_.size() != n_) coins_.assign(n_, CountingRandomCoins(0));
     for (ProcessId i = 0; i < n_; ++i) {
-      procs_.push_back(factory.make(i, n_, opt_.t_budget, inputs[i]));
-      coins_.push_back(std::make_unique<CountingRandomCoins>(seeds.stream(i)));
+      procs_[i] = factory.make(i, n_, opt_.t_budget, inputs[i]);
+      coins_[i].reseed(seeds.stream(i));
     }
     crashed_.assign(n_, false);
     views_.assign(n_, AsyncProcessView{});
+    undecided_live_ = n_;
   }
 
   AsyncRunResult run();
@@ -79,18 +151,6 @@ class AsyncCore final : public EventSource {
   void do_next_event(SimTime now, std::uint64_t tag) override;
 
  private:
-  /// One message's lifetime in the fabric. Timed entries wait for their
-  /// fabric event; Held entries sit in the scheduler-visible pool (with
-  /// pool_pos tracking their index there); Done entries are spent —
-  /// delivered, dropped, or suppressed — and any still-queued event for
-  /// them dispatches as a no-op.
-  struct InFlight {
-    AsyncMessage msg;
-    enum class State : std::uint8_t { Timed, Held, Done } state =
-        State::Timed;
-    std::size_t pool_pos = 0;
-  };
-
   SimTime now() const { return events_.now(); }
 
   /// The crash budget left: the limit minus the run's spend so far.
@@ -98,14 +158,23 @@ class AsyncCore final : public EventSource {
     return opt_.t_budget - res_.faults.crashes - interval_.crashes;
   }
 
-  bool all_live_decided() const {
-    for (ProcessId i = 0; i < n_; ++i)
-      if (!crashed_[i] && !procs_[i]->decided()) return false;
-    return true;
+  /// An outbox for one activation of `p`, over the cleared send and timer
+  /// buffers; pump(p) reads them in place once the activation returns.
+  AsyncOutbox open_outbox(ProcessId p) {
+    sends_.clear();
+    timers_.clear();
+    return AsyncOutbox(p, n_, sends_, timers_);
+  }
+
+  /// Commits the crash of `victim`; it leaves the undecided-live count.
+  void mark_crashed(ProcessId victim) {
+    crashed_[victim] = true;
+    if (!views_[victim].decided) --undecided_live_;
+    ++interval_.crashes;
   }
 
   void route(const AsyncMessage& msg);
-  void pump(ProcessId p, AsyncOutbox& out);
+  void pump(ProcessId p);
   void deliver_activation(const AsyncMessage& msg);
   void pool_swap_remove(std::size_t pos);
   void compact_held_done();
@@ -115,7 +184,7 @@ class AsyncCore final : public EventSource {
   void flush_interval();
   void harvest();
 
-  std::vector<Bit> inputs_;
+  const std::vector<Bit>& inputs_;
   AsyncScheduler& scheduler_;
   AsyncEngineOptions opt_;
   AdversaryDelay default_delay_;
@@ -123,14 +192,14 @@ class AsyncCore final : public EventSource {
   std::uint32_t n_ = 0;
   std::uint64_t max_events_ = 0;
 
-  EventList events_;
-  AsyncRunAuditor auditor_;
-  std::vector<std::unique_ptr<AsyncProcess>> procs_;
-  std::vector<std::unique_ptr<CountingRandomCoins>> coins_;
-  std::vector<bool> crashed_;
-  std::vector<AsyncProcessView> views_;
-
-  std::vector<InFlight> arena_;
+  // The workspace's buffers.
+  EventList& events_;
+  AsyncRunAuditor& auditor_;
+  std::vector<std::unique_ptr<AsyncProcess>>& procs_;
+  std::vector<CountingRandomCoins>& coins_;
+  std::vector<bool>& crashed_;
+  std::vector<AsyncProcessView>& views_;
+  std::vector<InFlight>& arena_;
   /// The adversary-held pool, mirrored as (message, arena-id) pairs kept in
   /// lockstep. Delivery removal is swap-remove — schedulers must not rely
   /// on stable pending order — exactly the step engine's semantics, which
@@ -138,13 +207,19 @@ class AsyncCore final : public EventSource {
   /// LaggardScheduler's resumable scan relies on this discipline: a
   /// delivery swap-removes its index, crash removal compacts in order, and
   /// sends append.
-  std::vector<AsyncMessage> held_view_;
-  std::vector<std::size_t> held_ids_;
+  std::vector<AsyncMessage>& held_view_;
+  std::vector<std::size_t>& held_ids_;
+  std::vector<AsyncMessage>& sends_;
+  std::vector<AsyncTimerRequest>& timers_;
+
+  /// Live processes whose view is undecided: the loop's termination test.
+  /// pump() moves it when a view's `decided` flips, mark_crashed() when an
+  /// undecided process crashes.
+  std::uint32_t undecided_live_ = 0;
 
   std::vector<std::unique_ptr<Trigger>> triggers_;
 
   AsyncRunResult res_;
-  bool stuck_ = false;
 
   // Round-analog intervals: one per value of the live processes' maximum
   // protocol round, flushed when it advances and at run end. Every event
@@ -163,10 +238,13 @@ void AsyncCore::route(const AsyncMessage& msg) {
   if (!d.held) {
     SYNRAN_CHECK_MSG(d.deliver_at >= now(),
                      "delay model scheduled a delivery in the past");
-    arena_.push_back(InFlight{msg, InFlight::State::Timed, 0});
+    arena_.push_back(InFlight{msg, 0, InFlight::State::Timed});
     events_.schedule_at(*this, d.deliver_at, tag_of(kTagFabric, id));
   } else {
-    arena_.push_back(InFlight{msg, InFlight::State::Held, held_view_.size()});
+    SYNRAN_CHECK_MSG(held_view_.size() < kMaxHeld,
+                     "held pool outgrew its 32-bit positions");
+    const auto pos = static_cast<std::uint32_t>(held_view_.size());
+    arena_.push_back(InFlight{msg, pos, InFlight::State::Held});
     held_view_.push_back(msg);
     held_ids_.push_back(id);
     if (d.deadline != kNever) {
@@ -177,9 +255,9 @@ void AsyncCore::route(const AsyncMessage& msg) {
   }
 }
 
-void AsyncCore::pump(ProcessId p, AsyncOutbox& out) {
-  for (const auto& m : out.take()) route(m);
-  for (const auto& t : out.take_timers()) {
+void AsyncCore::pump(ProcessId p) {
+  for (const AsyncMessage& m : sends_) route(m);
+  for (const AsyncTimerRequest& t : timers_) {
     SYNRAN_REQUIRE(t.id < (1ULL << 32), "timer id must fit in 32 bits");
     events_.schedule_in(*this, t.delay,
                         tag_of(kTagTimer, (static_cast<std::uint64_t>(p) << 32) |
@@ -187,7 +265,14 @@ void AsyncCore::pump(ProcessId p, AsyncOutbox& out) {
   }
   const bool was_decided = views_[p].decided;
   views_[p] = procs_[p]->view();
-  if (!was_decided && views_[p].decided) res_.decision_time = now();
+  if (views_[p].decided != was_decided) {
+    if (was_decided) {
+      ++undecided_live_;
+    } else {
+      --undecided_live_;
+      res_.decision_time = now();
+    }
+  }
   // p is live (crashed processes are never activated), only its view
   // changed, and every view was already <= cur_round_: p alone can raise
   // the live processes' maximum round.
@@ -199,11 +284,9 @@ void AsyncCore::pump(ProcessId p, AsyncOutbox& out) {
 
 void AsyncCore::deliver_activation(const AsyncMessage& msg) {
   auditor_.on_deliver(now(), msg);
-  {
-    AsyncOutbox out(msg.to, n_);
-    procs_[msg.to]->on_message(msg, out, *coins_[msg.to]);
-    pump(msg.to, out);
-  }
+  AsyncOutbox out = open_outbox(msg.to);
+  procs_[msg.to]->on_message(msg, out, coins_[msg.to]);
+  pump(msg.to);
   ++res_.steps;
   ++interval_.delivered;
 }
@@ -213,7 +296,8 @@ void AsyncCore::pool_swap_remove(std::size_t pos) {
   held_view_.pop_back();
   held_ids_[pos] = held_ids_.back();
   held_ids_.pop_back();
-  if (pos < held_ids_.size()) arena_[held_ids_[pos]].pool_pos = pos;
+  if (pos < held_ids_.size())
+    arena_[held_ids_[pos]].pool_pos = static_cast<std::uint32_t>(pos);
 }
 
 /// Order-preserving removal of every pool entry whose arena record was
@@ -224,7 +308,7 @@ void AsyncCore::compact_held_done() {
     if (arena_[held_ids_[r]].state == InFlight::State::Done) continue;
     held_view_[w] = held_view_[r];
     held_ids_[w] = held_ids_[r];
-    arena_[held_ids_[w]].pool_pos = w;
+    arena_[held_ids_[w]].pool_pos = static_cast<std::uint32_t>(w);
     ++w;
   }
   held_view_.resize(w);
@@ -233,8 +317,7 @@ void AsyncCore::compact_held_done() {
 
 void AsyncCore::apply_scheduler_crash(const AsyncAction& action) {
   auditor_.on_crash(now(), action.victim);
-  crashed_[action.victim] = true;
-  ++interval_.crashes;
+  mark_crashed(action.victim);
   // Validate the drop list before touching anything: each index must name a
   // held message, belong to the victim, and appear at most once.
   std::vector<bool> dropped(held_view_.size(), false);
@@ -271,8 +354,7 @@ void AsyncCore::apply_scheduler_crash(const AsyncAction& action) {
 void AsyncCore::inject_crash(SimTime at, ProcessId victim) {
   auditor_.on_crash(at, victim);
   SYNRAN_CHECK_MSG(crash_budget() > 0, "timetable crash past the budget");
-  crashed_[victim] = true;
-  ++interval_.crashes;
+  mark_crashed(victim);
   // A timetable crash is total: every undelivered message the victim sent
   // dies with it (timed or held), and held traffic addressed to it is
   // purged. Timed traffic addressed to it is discarded at its fabric event.
@@ -352,9 +434,9 @@ void AsyncCore::do_next_event(SimTime now_time, std::uint64_t tag) {
       const std::uint64_t id = payload & 0xffffffffULL;
       if (crashed_[p]) return;  // timers die with their process
       ++res_.timers_fired;
-      AsyncOutbox out(p, n_);
-      procs_[p]->on_timer(id, out, *coins_[p]);
-      pump(p, out);
+      AsyncOutbox out = open_outbox(p);
+      procs_[p]->on_timer(id, out, coins_[p]);
+      pump(p);
       return;
     }
     default:
@@ -369,7 +451,7 @@ void AsyncCore::harvest() {
   for (ProcessId i = 0; i < n_; ++i) {
     if (crashed_[i]) continue;
     res_.max_round = std::max(res_.max_round, procs_[i]->view().round);
-    res_.coin_flips += coins_[i]->count();
+    res_.coin_flips += coins_[i].count();
     if (!procs_[i]->decided()) continue;
     any = true;
     ++res_.decided_live;
@@ -447,14 +529,14 @@ AsyncRunResult AsyncCore::run() {
   }
 
   for (ProcessId i = 0; i < n_; ++i) {
-    AsyncOutbox out(i, n_);
-    procs_[i]->start(out, *coins_[i]);
-    pump(i, out);
+    AsyncOutbox out = open_outbox(i);
+    procs_[i]->start(out, coins_[i]);
+    pump(i);
   }
 
   for (;;) {
     if (res_.steps >= opt_.max_steps) break;  // gave up (capped)
-    if (all_live_decided()) {
+    if (undecided_live_ == 0) {
       res_.terminated = true;
       break;
     }
@@ -500,13 +582,22 @@ AsyncRunResult AsyncCore::run() {
   return res_;
 }
 
-}  // namespace
+}  // namespace detail
 
 AsyncRunResult run_async(const AsyncProcessFactory& factory,
                          const std::vector<Bit>& inputs,
                          AsyncScheduler& scheduler,
                          const AsyncEngineOptions& options) {
-  AsyncCore core(factory, inputs, scheduler, options);
+  AsyncWorkspace workspace;
+  return run_async(factory, inputs, scheduler, options, workspace);
+}
+
+AsyncRunResult run_async(const AsyncProcessFactory& factory,
+                         const std::vector<Bit>& inputs,
+                         AsyncScheduler& scheduler,
+                         const AsyncEngineOptions& options,
+                         AsyncWorkspace& workspace) {
+  detail::AsyncCore core(factory, inputs, scheduler, options, workspace);
   return core.run();
 }
 

@@ -17,9 +17,20 @@
 // adversary-held with no deadline, and the run is step-for-step identical
 // to the pre-event-loop engine — same scheduler consultation order, same
 // swap-remove pending-pool semantics, same per-process coin streams.
+//
+// Reuse: every buffer a run needs — the EventList, the message arena, the
+// held pool, the outbox buffers, the per-process coins, views and crash
+// flags, and the auditor — lives in an AsyncWorkspace, which the engine
+// resets in place at the start of each run. A worker that keeps one
+// workspace across its repetitions allocates, once the buffers have grown,
+// little beyond what the protocol processes, the scheduler and the delay
+// model allocate themselves. The loop's termination test reads a count of the
+// live processes whose view is undecided, kept current wherever a view
+// changes or a process crashes, instead of asking every process.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "async/delay.hpp"
@@ -97,9 +108,36 @@ struct AsyncRunResult {
   SimTime decision_time = 0;  ///< when the last live process decided
 };
 
+/// Reusable per-worker state for run_async, the async sibling of
+/// EngineWorkspace: the buffers a run needs, kept across runs and reset in
+/// place at the start of each. A run's result never depends on what the
+/// workspace ran before, including a run that threw part-way. One
+/// workspace serves one thread; workspaces are never shared concurrently.
+class AsyncWorkspace {
+ public:
+  AsyncWorkspace();
+  ~AsyncWorkspace();
+  AsyncWorkspace(const AsyncWorkspace&) = delete;
+  AsyncWorkspace& operator=(const AsyncWorkspace&) = delete;
+
+ private:
+  friend class detail::AsyncCore;
+  struct Buffers;
+  std::unique_ptr<Buffers> buffers_;
+};
+
+/// One execution on a fresh workspace.
 AsyncRunResult run_async(const AsyncProcessFactory& factory,
                          const std::vector<Bit>& inputs,
                          AsyncScheduler& scheduler,
                          const AsyncEngineOptions& options);
+
+/// One execution on `workspace`, reusing its buffers; returns exactly what
+/// the overload above returns and fires the same observer stream.
+AsyncRunResult run_async(const AsyncProcessFactory& factory,
+                         const std::vector<Bit>& inputs,
+                         AsyncScheduler& scheduler,
+                         const AsyncEngineOptions& options,
+                         AsyncWorkspace& workspace);
 
 }  // namespace synran

@@ -1,40 +1,14 @@
 #include "async/event.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace synran {
 
-SimTime EventList::next_time() const {
-  SYNRAN_REQUIRE(!empty(), "next_time() on an empty event list");
-  if (occupied_ == 0) return far_.front().time;
-  // Rotate the mask so bit k stands for instant now + k.
-  const std::uint64_t ahead =
-      std::rotr(occupied_, static_cast<int>(slot(now_)));
-  return now_ + static_cast<SimTime>(std::countr_zero(ahead));
-}
-
-void EventList::push_near(SimTime at, const Item& item) {
-  const std::size_t s = slot(at);
-  ring_[s].items.push_back(item);
-  occupied_ |= std::uint64_t{1} << s;
-  ++near_size_;
-}
-
-void EventList::schedule_at(EventSource& source, SimTime at,
-                            std::uint64_t tag) {
-  SYNRAN_REQUIRE(at >= now_, "cannot schedule an event in the past");
-  SYNRAN_REQUIRE(at != kNever, "kNever is not a schedulable instant");
-  const Item item{&source, tag};
-  const std::uint64_t seq = next_seq_++;
-  if (at - now_ < kWindow) {
-    push_near(at, item);
-    return;
-  }
-  far_.push_back(Entry{at, seq, item});
+void EventList::push_far(const Entry& entry) {
+  far_.push_back(entry);
   std::push_heap(far_.begin(), far_.end(), Later{});
 }
 
@@ -67,6 +41,19 @@ bool EventList::run_next() {
   ++dispatched_;
   e.source->do_next_event(at, e.tag);
   return true;
+}
+
+void EventList::reset() {
+  for (Bucket& b : ring_) {
+    b.items.clear();
+    b.head = 0;
+  }
+  occupied_ = 0;
+  near_size_ = 0;
+  far_.clear();
+  now_ = 0;
+  next_seq_ = 0;
+  dispatched_ = 0;
 }
 
 Trigger::Trigger(EventList& list, Action action)

@@ -14,10 +14,13 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace synran {
 
@@ -69,12 +72,31 @@ class EventList {
   bool empty() const { return size() == 0; }
   std::size_t size() const { return near_size_ + far_.size(); }
 
+  // next_time and schedule_at run on every clock step and every timed
+  // send, so they are defined here; only a far-future schedule calls out.
+
   /// Earliest scheduled instant. Requires a non-empty list.
-  SimTime next_time() const;
+  SimTime next_time() const {
+    SYNRAN_REQUIRE(!empty(), "next_time() on an empty event list");
+    if (occupied_ == 0) return far_.front().time;
+    // Rotate the mask so bit k stands for instant now + k.
+    const std::uint64_t ahead =
+        std::rotr(occupied_, static_cast<int>(slot(now_)));
+    return now_ + static_cast<SimTime>(std::countr_zero(ahead));
+  }
 
   /// Schedules `source` at absolute time `at` (>= now, < kNever). The
   /// source is borrowed and must outlive the dispatch.
-  void schedule_at(EventSource& source, SimTime at, std::uint64_t tag = 0);
+  void schedule_at(EventSource& source, SimTime at, std::uint64_t tag = 0) {
+    SYNRAN_REQUIRE(at >= now_, "cannot schedule an event in the past");
+    SYNRAN_REQUIRE(at != kNever, "kNever is not a schedulable instant");
+    const Item item{&source, tag};
+    const std::uint64_t seq = next_seq_++;
+    if (at - now_ < kWindow)
+      push_near(at, item);
+    else
+      push_far(Entry{at, seq, item});
+  }
 
   /// Schedules `source` at now + delay (saturating below kNever).
   void schedule_in(EventSource& source, SimTime delay, std::uint64_t tag = 0);
@@ -85,6 +107,13 @@ class EventList {
 
   /// Events dispatched so far.
   std::uint64_t dispatched() const { return dispatched_; }
+
+  /// Returns the list to its freshly constructed state: no entries, clock,
+  /// sequence and dispatch count at 0. The buckets and the far heap keep
+  /// their capacity, so a list reused across runs stops allocating once it
+  /// has grown. Dropped entries are never dispatched, so their sources
+  /// need not outlive the reset.
+  void reset();
 
  private:
   /// Instants the bucket ring covers, from now on: every delay the
@@ -117,7 +146,13 @@ class EventList {
   static std::size_t slot(SimTime t) {
     return static_cast<std::size_t>(t % kWindow);
   }
-  void push_near(SimTime at, const Item& item);
+  void push_near(SimTime at, const Item& item) {
+    const std::size_t s = slot(at);
+    ring_[s].items.push_back(item);
+    occupied_ |= std::uint64_t{1} << s;
+    ++near_size_;
+  }
+  void push_far(const Entry& entry);
 
   std::array<Bucket, kWindow> ring_;
   std::uint64_t occupied_ = 0;  ///< bit slot(t) set iff bucket t non-empty

@@ -8,6 +8,14 @@
 // message deliveries, and the adversary is the scheduler — it sees
 // everything and picks which in-transit message arrives next, and which
 // processes crash (dropping any subset of their in-transit messages).
+//
+// An activation's sends and timer requests go into an AsyncOutbox the
+// engine hands it. The outbox writes into buffers the engine owns and
+// reuses across activations and runs, so a broadcast allocates nothing
+// once the buffers have grown; the engine reads them in place after the
+// activation returns. Only the engine creates outboxes, and an outbox's
+// sender id is fixed for its lifetime, so a protocol cannot send in
+// another process's name.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +44,18 @@ struct AsyncTimerRequest {
   std::uint64_t id = 0;
 };
 
-/// Collects a process's sends (and timer requests) during one activation.
+namespace detail {
+class AsyncCore;
+}  // namespace detail
+
+/// Collects a process's sends (and timer requests) during one activation,
+/// appending them to engine-owned buffers.
 class AsyncOutbox {
  public:
-  explicit AsyncOutbox(ProcessId self, std::uint32_t n)
-      : self_(self), n_(n) {}
+  AsyncOutbox(const AsyncOutbox&) = delete;
+  AsyncOutbox& operator=(const AsyncOutbox&) = delete;
 
-  void send(ProcessId to, Payload p) { out_.push_back({self_, to, p}); }
+  void send(ProcessId to, Payload p) { sends_.push_back({self_, to, p}); }
   void broadcast(Payload p) {
     for (ProcessId i = 0; i < n_; ++i) send(i, p);
   }
@@ -55,14 +68,18 @@ class AsyncOutbox {
     timers_.push_back({delay, id});
   }
 
-  std::vector<AsyncMessage> take() { return std::move(out_); }
-  std::vector<AsyncTimerRequest> take_timers() { return std::move(timers_); }
-
  private:
-  ProcessId self_;
-  std::uint32_t n_;
-  std::vector<AsyncMessage> out_;
-  std::vector<AsyncTimerRequest> timers_;
+  friend class detail::AsyncCore;
+
+  AsyncOutbox(ProcessId self, std::uint32_t n,
+              std::vector<AsyncMessage>& sends,
+              std::vector<AsyncTimerRequest>& timers)
+      : self_(self), n_(n), sends_(sends), timers_(timers) {}
+
+  const ProcessId self_;
+  const std::uint32_t n_;
+  std::vector<AsyncMessage>& sends_;
+  std::vector<AsyncTimerRequest>& timers_;
 };
 
 /// Scheduler-visible snapshot of a process (full information).
@@ -92,6 +109,9 @@ class AsyncProcess {
 
   virtual bool decided() const = 0;
   virtual Bit decision() const = 0;
+  /// The scheduler's snapshot. `view().decided` must equal decided(): the
+  /// engine reads the view after every activation, and its termination
+  /// test counts the live processes whose view is undecided.
   virtual AsyncProcessView view() const = 0;
 };
 

@@ -14,7 +14,9 @@ AsyncRunStats AsyncBatchExecutor::run(const AsyncProcessFactory& factory,
                                       const AsyncRepeatSpec& spec) const {
   SYNRAN_REQUIRE(static_cast<bool>(schedulers), "need a scheduler factory");
   return detail::run_batch<AsyncRunStats>(spec, options_.threads, [&] {
-    return [&](std::size_t rep, obs::EngineObserver* observer) {
+    // One workspace per worker: its reps reuse one set of engine buffers.
+    return [&, ws = std::make_unique<AsyncWorkspace>()](
+               std::size_t rep, obs::EngineObserver* observer) {
       Xoshiro256 input_rng = input_rng_for_rep(spec.seed, rep);
       const std::vector<Bit> inputs =
           make_inputs(spec.n, spec.pattern, input_rng);
@@ -25,7 +27,7 @@ AsyncRunStats AsyncBatchExecutor::run(const AsyncProcessFactory& factory,
       opts.seed = engine_seed_for_rep(spec.seed, rep);
       if (delay != nullptr) opts.delay = delay.get();
       opts.observer = observer;
-      return run_async(factory, inputs, *scheduler, opts);
+      return run_async(factory, inputs, *scheduler, opts, *ws);
     };
   });
 }

@@ -5,9 +5,11 @@
 // contract. Repetition k derives its inputs, scheduler, delay model, and
 // coin seed from per-rep streams of the master seed (schema 2 plus the
 // async delay stream — exec/async_batch.hpp) and builds its own processes,
-// scheduler, and delay model, so nothing is shared between concurrent reps
-// except the read-only spec (and fault timetable, if any). Statistics and
-// observer streams are byte-identical to a 1-thread run.
+// scheduler, and delay model. Each worker keeps one AsyncWorkspace, which
+// its reps reuse and which the engine resets at the start of every run, so
+// nothing is shared between concurrent reps except the read-only spec (and
+// fault timetable, if any). Statistics and observer streams are
+// byte-identical to a 1-thread run.
 #pragma once
 
 #include "exec/async_batch.hpp"

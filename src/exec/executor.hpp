@@ -13,10 +13,11 @@
 //     never from shared mutable state — so which worker runs a rep, and in
 //     what order, cannot change what the rep computes. Worker w owns reps
 //     {k : k mod threads == w}.
-//  2. Per-worker state. Each sync worker drives one EngineWorkspace, so a
-//     worker's thousands of reps reuse one set of buffers instead of
-//     reallocating per rep; an async rep builds its own processes,
-//     scheduler and delay model and shares nothing.
+//  2. Per-worker state. Each sync worker drives one EngineWorkspace and
+//     each async worker one AsyncWorkspace, so a worker's thousands of reps
+//     reuse one set of buffers instead of reallocating per rep. The engines
+//     reset a workspace at the start of every run, so what a rep computes
+//     never depends on the reps the worker ran before it.
 //  3. Rep-order aggregation. Workers record each rep's result into disjoint
 //     slots of one pre-sized array; after the join, the results are folded
 //     into the registry serially in rep order. Folding per-rep scalars in

@@ -111,10 +111,10 @@ RepOutcome<Result> attempt_rep(RunRep& run_rep, std::uint32_t attempts,
 /// `make_rep()` is called once per worker (once for a serial batch) and
 /// returns that worker's rep body, `body(rep, observer) -> result`: the one
 /// definition of what repetition `rep` is, so serial and parallel batches
-/// compute identical results. A body may keep per-worker state (the sync
-/// executor's EngineWorkspace), but everything a rep computes must derive
-/// from (spec.seed, rep). `threads` is the executor's own option; a
-/// non-zero spec.threads overrides it.
+/// compute identical results. A body may keep per-worker state (the
+/// executors' EngineWorkspace and AsyncWorkspace), but everything a rep
+/// computes must derive from (spec.seed, rep). `threads` is the executor's
+/// own option; a non-zero spec.threads overrides it.
 template <typename Stats, typename Spec, typename MakeRep>
 Stats run_batch(const Spec& spec, unsigned threads, const MakeRep& make_rep) {
   using Body = std::invoke_result_t<const MakeRep&>;

@@ -141,6 +141,13 @@ void check_delay(const std::string& text) {
                    "' (expected held, fixed:D, or uniform:LO,HI)");
 }
 
+/// config.reps, default 50; a batch needs at least one repetition.
+std::uint64_t get_reps(const JsonValue& config) {
+  const std::uint64_t reps = get_u64(config, "reps", 50);
+  if (reps == 0) throw BadRequest("config.reps must be >= 1");
+  return reps;
+}
+
 void reject_unknown_keys(const JsonValue& object, const char* where,
                          const std::set<std::string>& known) {
   for (const auto& [key, value] : object.as_object()) {
@@ -178,6 +185,7 @@ JsonValue canonicalize_sync(const JsonValue& config) {
                  {"all-0", "all-1", "half", "single-0", "random"});
   const std::string policy = get_string(config, "fail_policy", "fail_fast");
   require_one_of("fail_policy", policy, {"fail_fast", "quarantine"});
+  const std::uint64_t reps = get_reps(config);
 
   JsonValue canon = JsonValue::object();
   canon.set("model", "sync");
@@ -187,7 +195,7 @@ JsonValue canonicalize_sync(const JsonValue& config) {
   canon.set("n", JsonValue(n));
   canon.set("t", JsonValue(t));
   canon.set("pattern", pattern);
-  canon.set("reps", JsonValue(get_u64(config, "reps", 50)));
+  canon.set("reps", JsonValue(reps));
   canon.set("seed", JsonValue(get_u64(config, "seed", 1)));
   canon.set("max_rounds", JsonValue(get_u32(config, "max_rounds", 100000)));
   canon.set("fail_policy", policy);
@@ -235,12 +243,14 @@ JsonValue canonicalize_async(const JsonValue& config) {
   const std::uint32_t n = get_u32(config, "n", 32);
   if (n == 0) throw BadRequest("config.n must be >= 1");
   const std::uint32_t t = get_u32(config, "t", n >= 2 ? (n - 1) / 2 : 0);
-  if (t >= n)
-    throw BadRequest("config.t " + std::to_string(t) + " must be below " +
-                     "config.n " + std::to_string(n) + " for model 'async'");
+  if (2 * static_cast<std::uint64_t>(t) >= n)
+    throw BadRequest("config.t " + std::to_string(t) +
+                     " must be below half of config.n " + std::to_string(n) +
+                     " for model 'async' (Ben-Or needs t < n/2)");
   const std::string pattern = get_string(config, "pattern", "random");
   require_one_of("pattern", pattern,
                  {"all-0", "all-1", "half", "single-0", "random"});
+  const std::uint64_t reps = get_reps(config);
 
   JsonValue canon = JsonValue::object();
   canon.set("model", "async");
@@ -253,7 +263,7 @@ JsonValue canonicalize_async(const JsonValue& config) {
   canon.set("n", JsonValue(n));
   canon.set("t", JsonValue(t));
   canon.set("pattern", pattern);
-  canon.set("reps", JsonValue(get_u64(config, "reps", 50)));
+  canon.set("reps", JsonValue(reps));
   canon.set("seed", JsonValue(get_u64(config, "seed", 1)));
   canon.set("max_steps", JsonValue(get_u64(config, "max_steps", 2000000)));
   canon.set("max_time", JsonValue(get_u64(config, "max_time", 0)));

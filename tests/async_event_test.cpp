@@ -1,8 +1,9 @@
 // Tests for the event-driven core's clock layer: EventList determinism,
-// FIFO tiebreaking and a reference-order fuzz across its bucket window,
-// Trigger composition, the delay models (fixed, seeded uniform,
-// adversary-held, GST clamping, saturation near kNever), and the async run
-// auditor's violation detection.
+// FIFO tiebreaking and a reference-order fuzz across its bucket window (on
+// fresh lists and on one list reset between schedules), Trigger
+// composition, the delay models (fixed, seeded uniform, adversary-held,
+// GST clamping, saturation near kNever), and the async run auditor's
+// violation detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -139,12 +140,17 @@ struct ReferenceList {
 
 /// Drives an EventList and a ReferenceList through the same seeded mix of
 /// schedule_at, schedule_in and run_next calls. Dispatched events schedule
-/// more from inside the callback, as the engine's activations do.
+/// more from inside the callback, as the engine's activations do. The list
+/// is the fuzz's own, or a borrowed one that must start out empty.
 class ReferenceFuzz final : public EventSource {
  public:
-  explicit ReferenceFuzz(std::uint64_t seed) : rng_(seed) {}
+  explicit ReferenceFuzz(std::uint64_t seed) : rng_(seed), list_(own_) {}
+  ReferenceFuzz(std::uint64_t seed, EventList& list)
+      : rng_(seed), list_(list) {}
 
-  void run(SimTime start, int ops) {
+  /// With `drain` false the schedule is abandoned part-way, leaving
+  /// entries (near and far) in the list.
+  void run(SimTime start, int ops, bool drain = true) {
     if (start != 0) {  // move both clocks to `start` first
       list_.schedule_at(*this, start, next_tag_);
       ref_.schedule_at(start, next_tag_++);
@@ -156,9 +162,11 @@ class ReferenceFuzz final : public EventSource {
       else
         step();
     }
-    draining_ = true;  // no more children, so the drain terminates
-    while (!ref_.pending.empty() && !::testing::Test::HasFailure()) step();
-    EXPECT_FALSE(list_.run_next());
+    if (drain) {
+      draining_ = true;  // no more children, so the drain terminates
+      while (!ref_.pending.empty() && !::testing::Test::HasFailure()) step();
+      EXPECT_FALSE(list_.run_next());
+    }
     EXPECT_EQ(seen_, expected_);
   }
 
@@ -217,7 +225,8 @@ class ReferenceFuzz final : public EventSource {
   }
 
   Xoshiro256 rng_;
-  EventList list_;
+  EventList own_;
+  EventList& list_;
   ReferenceList ref_;
   std::uint64_t next_tag_ = 0;
   bool draining_ = false;
@@ -233,6 +242,28 @@ TEST(AsyncEventListTest, MatchesReferenceOrderOnRandomSchedules) {
     SCOPED_TRACE(seed);
     ReferenceFuzz fuzz(seed);
     fuzz.run(seed % 3 == 0 ? kNever - 200 : 0, 2000);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(AsyncEventListTest, ResetListMatchesReferenceOrderOnRandomSchedules) {
+  // One list serves every schedule, reset() in between, as an engine
+  // workspace reuses its list across runs. Half the schedules stop with
+  // entries still queued, some of them in the far heap and some at
+  // instants near kNever; their source is gone by the next reset. Each
+  // schedule must then run exactly as on a fresh list, with the clock and
+  // the dispatch count back at 0.
+  EventList list;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    list.reset();
+    ASSERT_TRUE(list.empty());
+    ASSERT_EQ(list.size(), 0u);
+    ASSERT_EQ(list.now(), 0u);
+    ASSERT_EQ(list.dispatched(), 0u);
+    ASSERT_FALSE(list.run_next());
+    ReferenceFuzz fuzz(seed, list);
+    fuzz.run(seed % 3 == 0 ? kNever - 200 : 0, 2000, seed % 2 == 0);
     if (::testing::Test::HasFailure()) return;
   }
 }

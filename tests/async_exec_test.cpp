@@ -3,12 +3,14 @@
 // ExecEquivalence suite), byte-identical observer streams at any thread
 // count, retries, stop handling and argument checks through the executor,
 // structured scheduler-violation errors, fault-timetable injection,
-// partial synchrony, retransmission recovery, and golden-pinned decision
-// stats for the fixed-delay, adversary-held, laggard-with-crashes and
-// beyond-window GST configurations.
+// partial synchrony, retransmission recovery, workspace reuse (runs on one
+// AsyncWorkspace, also after a run that threw, equal runs on fresh ones),
+// and golden-pinned decision stats for the fixed-delay, adversary-held,
+// laggard-with-crashes and beyond-window GST configurations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -504,6 +506,180 @@ TEST(AsyncPartialSynchrony, RetransmissionRecoversOmittedQuorum) {
   EXPECT_TRUE(recovered.terminated);
   EXPECT_TRUE(recovered.agreement);
   EXPECT_GT(recovered.timers_fired, 0u);
+}
+
+// ------------------------------------------------- reused workspace
+
+/// Every AsyncRunResult field, printed: equal strings, equal results.
+std::string result_fields(const AsyncRunResult& r) {
+  std::ostringstream os;
+  os << r.terminated << ' ' << r.decided_live << ' ' << r.agreement << ' '
+     << r.validity << ' ' << to_int(r.decision) << ' ' << r.steps << ' '
+     << r.max_round << ' ' << r.coin_flips << ' ' << r.faults.crashes << ' '
+     << r.faults.delivered << ' ' << r.faults.omissions << ' '
+     << r.faults.omitted << ' ' << r.faults.corruptions << ' '
+     << r.faults.corrupted << ' ' << r.timers_fired << ' ' << r.end_time
+     << ' ' << r.decision_time;
+  return os.str();
+}
+
+/// One engine configuration. The scheduler and the delay model are built
+/// anew for every run, so two runs of a case start from the same state.
+struct WorkspaceCase {
+  const char* name;
+  std::uint32_t n;
+  std::uint32_t t;
+  std::function<std::unique_ptr<AsyncScheduler>(std::uint64_t)> scheduler;
+  AsyncDelayFactory delay;  ///< nullptr per run = adversary-held
+  std::uint64_t retransmit;
+  bool timetable;  ///< a crash at t = 6 and omission bursts at t = 9, 30
+  bool observed;   ///< trace the run through a JSONL writer
+};
+
+struct WorkspaceOutcome {
+  std::string result;
+  std::string trace;
+};
+
+/// Runs `c` at `seed` on `workspace`, or on a fresh one when it is null.
+WorkspaceOutcome run_case(const WorkspaceCase& c, std::uint64_t seed,
+                          AsyncWorkspace* workspace) {
+  const BenOrAsyncFactory factory(BenOrOptions{c.retransmit});
+  std::vector<Bit> inputs(c.n);
+  Xoshiro256 rng(seed * 104729);
+  for (auto& b : inputs) b = rng.flip() ? Bit::One : Bit::Zero;
+  const std::unique_ptr<AsyncScheduler> sched = c.scheduler(seed);
+  const std::unique_ptr<DelayModel> delay = c.delay(seed);
+  AsyncFaultTimetable faults;
+  faults.crashes.push_back({6, c.n - 1});
+  faults.omissions.push_back({9, 1, 5});
+  faults.omissions.push_back({30, 2, 3});
+  AsyncEngineOptions opts;
+  opts.t_budget = c.t;
+  opts.seed = seed;
+  opts.delay = delay.get();
+  if (c.timetable) {
+    opts.faults = &faults;
+    opts.omission_budget = 2;
+  }
+  std::ostringstream trace;
+  obs::JsonlTraceWriter writer(trace);
+  if (c.observed) opts.observer = &writer;
+  const AsyncRunResult r =
+      workspace != nullptr
+          ? run_async(factory, inputs, *sched, opts, *workspace)
+          : run_async(factory, inputs, *sched, opts);
+  return {result_fields(r), trace.str()};
+}
+
+std::vector<WorkspaceCase> workspace_cases() {
+  const auto fifo = [](std::uint64_t) {
+    return std::make_unique<FifoScheduler>();
+  };
+  const auto random = [](std::uint64_t s) {
+    return std::make_unique<RandomScheduler>(s);
+  };
+  const auto laggard = [](std::uint64_t s) {
+    return std::make_unique<LaggardScheduler>(s);
+  };
+  const auto stall = [](std::uint64_t) {
+    return std::make_unique<StallScheduler>();
+  };
+  // n moves up and down between consecutive cases, so the workspace's
+  // buffers both grow and shrink in place.
+  return {
+      {"held-laggard", 16, 7, laggard, held_delay_factory(), 0, false, true},
+      {"fixed-timetable", 9, 3, fifo, fixed_delay_factory(5), 0, true, false},
+      {"uniform-timetable-retransmit", 24, 5, random,
+       uniform_delay_factory(1, 10), 16, true, true},
+      {"gst-stall-retransmit", 7, 2, stall, gst_delay_factory(50, 8), 16,
+       false, true},
+      {"gst-beyond-window-timetable", 12, 3, random,
+       gst_delay_factory(200, 8), 16, true, false},
+      {"held-random", 33, 10, random, held_delay_factory(), 0, false, false},
+      {"uniform-laggard", 5, 2, laggard, uniform_delay_factory(1, 10), 0,
+       false, true},
+  };
+}
+
+TEST(AsyncExecWorkspace, ReusedWorkspaceMatchesFreshRuns) {
+  // One workspace runs every case, for several seeds, in turn: each run
+  // must give the result and the trace bytes a fresh run_async gives.
+  AsyncWorkspace workspace;
+  const std::vector<WorkspaceCase> cases = workspace_cases();
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const WorkspaceCase& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      const WorkspaceOutcome fresh = run_case(c, seed, nullptr);
+      const WorkspaceOutcome reused = run_case(c, seed, &workspace);
+      EXPECT_EQ(reused.result, fresh.result);
+      EXPECT_EQ(reused.trace, fresh.trace);
+      EXPECT_EQ(c.observed, !fresh.trace.empty());
+    }
+  }
+}
+
+/// Delivers pending()[0] for `steps` deliveries, then crashes that
+/// message's sender listing index 0 twice, which the engine rejects.
+class DuplicateDropAfter final : public AsyncScheduler {
+ public:
+  explicit DuplicateDropAfter(std::uint64_t steps) : steps_(steps) {}
+  AsyncAction step(const AsyncWorld& world) override {
+    if (world.step() < steps_) return {AsyncAction::Kind::Deliver, 0, 0, {}};
+    AsyncAction a;
+    a.kind = AsyncAction::Kind::Crash;
+    a.victim = world.pending()[0].from;
+    a.drop = {0, 0};
+    return a;
+  }
+  const char* name() const override { return "duplicate-drop-after"; }
+
+ private:
+  std::uint64_t steps_;
+};
+
+TEST(AsyncExecWorkspace, RunAfterAThrowMatchesAFreshWorkspace) {
+  // The throwing run stops with held messages in the pool, deadline
+  // releases queued and timetable Triggers armed for later instants, all
+  // pointing at a core that no longer exists. The next run on the same
+  // workspace must not see any of it.
+  const BenOrAsyncFactory factory(BenOrOptions{16});
+  const std::vector<WorkspaceCase> cases = workspace_cases();
+  AsyncWorkspace workspace;
+  for (std::uint32_t n : {16u, 9u}) {
+    for (const WorkspaceCase& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " after a throw at n " +
+                   std::to_string(n));
+      std::vector<Bit> inputs(n);
+      for (std::uint32_t i = 0; i < n; ++i)
+        inputs[i] = i % 2 == 0 ? Bit::One : Bit::Zero;
+      DuplicateDropAfter sched(40);
+      GstDelay delay(50, 8);
+      AsyncFaultTimetable faults;
+      faults.crashes.push_back({1000, n - 1});
+      faults.omissions.push_back({900, 1, 4});
+      AsyncEngineOptions opts;
+      opts.t_budget = 3;
+      opts.delay = &delay;
+      opts.faults = &faults;
+      opts.omission_budget = 1;
+      std::ostringstream trace;
+      obs::JsonlTraceWriter writer(trace);
+      opts.observer = &writer;
+      try {
+        run_async(factory, inputs, sched, opts, workspace);
+        FAIL() << "expected InvariantError";
+      } catch (const InvariantError& e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate drop index"),
+                  std::string::npos)
+            << e.what();
+      }
+      const WorkspaceOutcome fresh = run_case(c, 3, nullptr);
+      const WorkspaceOutcome reused = run_case(c, 3, &workspace);
+      EXPECT_EQ(reused.result, fresh.result);
+      EXPECT_EQ(reused.trace, fresh.trace);
+    }
+  }
 }
 
 // ------------------------------------------------- golden pins

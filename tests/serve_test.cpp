@@ -529,9 +529,9 @@ TEST(Server, RetryBudgetOverflowIsARunFailureNotADaemonCrash) {
 TEST(Server, BudgetsTheEnginesCannotRunAreBadRequests) {
   const std::string dir = temp_dir("srv_over_budget");
   Server server(test_options(dir + "/cache"));
-  // The sync engine needs t <= n and the async core t < n. Both configs
-  // used to reach the engine and come back run_failed, with the engine's
-  // source path in the message.
+  // The sync engine needs t <= n, and model 'async' (Ben-Or) t < n/2.
+  // Both configs used to reach the engine and come back run_failed, with
+  // the engine's source path in the message.
   const auto result = serve_over_files(
       server, dir,
       {R"({"schema":"synran-req/1","id":"sync","cmd":"run","config":)"
@@ -553,6 +553,39 @@ TEST(Server, BudgetsTheEnginesCannotRunAreBadRequests) {
         << result.bodies[i];
   }
   EXPECT_TRUE(parse_json(result.bodies[2]).find("ok")->as_bool());
+  EXPECT_EQ(server.cache().entries(), 0u);
+}
+
+TEST(Server, AsyncBudgetsFromHalfNAndZeroRepsAreBadRequests) {
+  const std::string dir = temp_dir("srv_half_budget");
+  Server server(test_options(dir + "/cache"));
+  // Model 'async' runs Ben-Or, which needs t < n/2, and a batch of either
+  // model needs a rep. These configs used to reach the engine and come
+  // back run_failed, with the engine's source path in the message.
+  const auto result = serve_over_files(
+      server, dir,
+      {R"({"schema":"synran-req/1","id":"half","cmd":"run","config":)"
+       R"({"model":"async","n":10,"t":5,"reps":2}})",
+       R"({"schema":"synran-req/1","id":"sync0","cmd":"run","config":)"
+       R"({"model":"sync","n":8,"t":2,"reps":0}})",
+       R"({"schema":"synran-req/1","id":"async0","cmd":"run","config":)"
+       R"({"model":"async","n":8,"t":2,"reps":0}})",
+       R"({"schema":"synran-req/1","id":"after","cmd":"ping"})"});
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.bodies.size(), 4u);
+  const char* const names[] = {"config.t 5", "config.reps", "config.reps"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const JsonValue rejected = parse_json(result.bodies[i]);
+    EXPECT_FALSE(rejected.find("ok")->as_bool()) << result.bodies[i];
+    EXPECT_EQ(rejected.find("error")->find("code")->as_string(),
+              "bad_request")
+        << result.bodies[i];
+    EXPECT_NE(rejected.find("error")->find("message")->as_string().find(
+                  names[i]),
+              std::string::npos)
+        << result.bodies[i];
+  }
+  EXPECT_TRUE(parse_json(result.bodies[3]).find("ok")->as_bool());
   EXPECT_EQ(server.cache().entries(), 0u);
 }
 

@@ -311,14 +311,36 @@ void check_bench_report(const JsonValue& doc, Check& c) {
 }
 
 /// Validates one synran-trace/1 JSONL stream: every line parses, events come
-/// in run_begin → round* → run_end order, and each run's round-level crash
-/// and delivery counts sum to the totals its run_end claims.
+/// in run_begin → round* → run_end order, each run's round-level counts sum
+/// to the totals its run_end claims, and a gated run carries its gated
+/// fields. The gates are latched per run from run_begin as obs::TraceGates
+/// decides them (an omission or byzantine budget or round cap above 0), so
+/// this accepts exactly the gated lines JsonlTraceReader reads.
 void check_trace_stream(std::istream& in, Check& c) {
   std::string line;
   std::size_t line_no = 0;
   bool in_run = false;
   std::int64_t expected_run = 0;
   Tally<std::int64_t> sum{};
+  // Which tally keys the open run's round and run_end lines must carry.
+  std::array<bool, 6> gated{};
+  const auto limit_open = [](const JsonValue& ev, const char* budget,
+                             const char* cap) {
+    for (const char* key : {budget, cap})
+      if (const auto* v = ev.find(key);
+          v != nullptr && v->is_int() && v->as_int() > 0)
+        return true;
+    return false;
+  };
+  const auto require_gated = [&](const JsonValue& ev, const std::string& at,
+                                 const char* kind) {
+    for (std::size_t i = 0; i < kTallyKeys.size(); ++i)
+      if (gated[i] && ev.find(kTallyKeys[i]) == nullptr)
+        c.fail(at + ": " + kind + "." + kTallyKeys[i] +
+               " is missing, but run_begin's " +
+               (i < 4 ? "omission" : "byzantine") +
+               " budget or round cap gates it in");
+  };
 
   while (std::getline(in, line)) {
     ++line_no;
@@ -365,6 +387,11 @@ void check_trace_stream(std::istream& in, Check& c) {
                               "byzantine_budget", "byzantine_round_cap"})
         if (const auto* v = parsed->find(key); v != nullptr && !v->is_int())
           c.fail(at + ": run_begin." + key + " is present but not an integer");
+      const bool omissions =
+          limit_open(*parsed, "omission_budget", "omission_round_cap");
+      const bool corruptions =
+          limit_open(*parsed, "byzantine_budget", "byzantine_round_cap");
+      gated = {false, false, omissions, omissions, corruptions, corruptions};
       in_run = true;
       sum = {};
     } else if (kind == "round") {
@@ -379,6 +406,7 @@ void check_trace_stream(std::istream& in, Check& c) {
                               "corrupted"})
         if (const auto* v = parsed->find(key); v != nullptr && !v->is_int())
           c.fail(at + ": round." + key + " is present but not an integer");
+      require_gated(*parsed, at, "round");
       for (std::size_t i = 0; i < kTallyKeys.size(); ++i)
         if (const auto* v = parsed->find(kTallyKeys[i]);
             v != nullptr && v->is_int())
@@ -400,6 +428,7 @@ void check_trace_stream(std::istream& in, Check& c) {
                               "corrupted"})
         if (const auto* v = parsed->find(key); v != nullptr && !v->is_int())
           c.fail(at + ": run_end." + key + " is present but not an integer");
+      require_gated(*parsed, at, "run_end");
       // Every integer total it carries must equal the sum of its rounds.
       Tally<std::int64_t> claimed{};
       std::array<bool, 6> present{};

@@ -218,13 +218,24 @@ InputPattern parse_pattern(const std::string& name) {
 }
 
 /// The engines' own limits, checked before any run starts: n >= 1, and
-/// t <= n for the sync engine, t < n for the async core.
+/// t <= n for the sync engine. --model=async runs Ben-Or, which needs
+/// t < n/2.
 void check_budget(std::uint32_t n, std::uint32_t t, bool async) {
   if (n == 0) throw UsageError("invalid --n 0: a run needs a process");
-  if (t > n || (async && t == n))
+  if (async ? 2 * static_cast<std::uint64_t>(t) >= n : t > n)
     throw UsageError("invalid --t " + std::to_string(t) + " for --n " +
-                     std::to_string(n) + ": the " + (async ? "async" : "sync") +
-                     " engine needs " + (async ? "t < n" : "t <= n"));
+                     std::to_string(n) + ": " +
+                     (async ? "Ben-Or on the async engine needs t < n/2"
+                            : "the sync engine needs t <= n"));
+}
+
+/// --reps, checked before any run starts: a batch needs a repetition.
+std::uint64_t reps_flag(const Args& args) {
+  const std::uint64_t reps = args.num("reps", 50);
+  if (reps == 0)
+    throw UsageError("invalid --reps 0: a batch needs at least one "
+                     "repetition");
+  return reps;
 }
 
 /// Parsed --faults. `omit:RATE[,BUDGET]` layers seeded i.i.d. link drops
@@ -329,6 +340,7 @@ int cmd_run_async(const Args& args) {
   const auto n = args.num32("n", 32);
   const auto t = args.num32("t", n >= 2 ? (n - 1) / 2 : 0);
   check_budget(n, t, true);
+  const auto reps = reps_flag(args);
   const auto proto = args.get("protocol", "benor");
   if (proto != "benor") {
     throw UsageError("--model=async supports --protocol benor only");
@@ -370,7 +382,7 @@ int cmd_run_async(const Args& args) {
   AsyncRepeatSpec spec;
   spec.n = n;
   spec.pattern = parse_pattern(args.get("pattern", "random"));
-  spec.reps = args.num("reps", 50);
+  spec.reps = reps;
   spec.seed = args.num("seed", 1);
   spec.threads = static_cast<unsigned>(args.num("threads", 0));
   spec.engine.t_budget = t;
@@ -436,6 +448,7 @@ int cmd_run(const Args& args) {
   const auto n = args.num32("n", 128);
   const auto t = args.num32("t", n / 2);
   check_budget(n, t, false);
+  const auto reps = reps_flag(args);
   const auto proto = args.get("protocol", "synran");
   const auto adv = args.get("adversary", "coinbias");
   const auto faults = parse_faults(args.get("faults", ""));
@@ -482,7 +495,7 @@ int cmd_run(const Args& args) {
   RepeatSpec spec;
   spec.n = n;
   spec.pattern = parse_pattern(args.get("pattern", "random"));
-  spec.reps = args.num("reps", 50);
+  spec.reps = reps;
   spec.seed = args.num("seed", 1);
   spec.threads = static_cast<unsigned>(args.num("threads", 0));
   spec.engine.t_budget = t;
@@ -971,7 +984,8 @@ void usage() {
       "           recorded, and a rerun with the same flags reloads it\n"
       "           instead of recomputing)\n"
       "           --model sync|async (default sync). --model=async runs\n"
-      "           Ben-Or on the event-driven core:\n"
+      "           Ben-Or on the event-driven core (needs t < n/2;\n"
+      "           default t = (n-1)/2):\n"
       "             --scheduler fifo|random|laggard|stall (the async\n"
       "             adversary; default random)\n"
       "             --delay held|fixed:D|uniform:LO,HI (link delay model;\n"

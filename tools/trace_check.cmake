@@ -4,7 +4,8 @@
 # least 4x smaller than its JSONL twin, `trace stats --format=json` must
 # agree across formats (and its table show a corrupted-value batch's
 # spend), a --threads=4 rerun must produce the identical binary trace, and
-# bench_schema_check --trace must accept every file.
+# bench_schema_check --trace must accept every file, and reject a
+# corrupted-value JSONL trace stripped of its gated corruption fields.
 # Driven from add_test():
 #
 #   cmake -DCLI=<synran> -DCHECKER=<bench_schema_check> -DWORKDIR=<dir>
@@ -13,6 +14,11 @@
 # Nothing here links the library — a bug that the in-process tests can't
 # see because writer and reader share code still has to get past the
 # independent checker and the byte comparisons below.
+# Script mode sets no policies. Without CMP0054, `if(variant STREQUAL "byz")`
+# would read "byz" as the variable of that name (the byz command line
+# below), and the byz-only checks would never run.
+cmake_policy(SET CMP0054 NEW)
+
 if(NOT DEFINED CLI OR NOT DEFINED CHECKER OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR
     "trace_check.cmake needs -DCLI=... -DCHECKER=... -DWORKDIR=...")
@@ -35,6 +41,23 @@ function(expect_same a b what)
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${what}: ${a} and ${b} differ")
+  endif()
+endfunction()
+
+# A trace whose run_begin gates a field family in, but whose round or
+# run_end lines lack that family's fields, is one JsonlTraceReader rejects:
+# the checker must reject it too, naming the missing field.
+function(expect_rejected file)
+  execute_process(COMMAND ${CHECKER} --trace ${file} RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT "${out}${err}" MATCHES "corruptions is missing")
+    message(FATAL_ERROR "bench_schema_check --trace did not reject ${file} "
+      "for a missing gated field (rc=${rc}):\n${out}${err}")
+  endif()
+  execute_process(COMMAND ${CLI} trace stats --in ${file} RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "trace stats accepted ${file}:\n${out}${err}")
   endif()
 endfunction()
 
@@ -113,6 +136,29 @@ foreach(variant base omit byz)
   # The independent validator walks both files from the kTrace2* constants.
   run_or_die(${CHECKER} --trace
     ${WORKDIR}/${variant}.jsonl ${WORKDIR}/${variant}.bin)
+
+  # The byz runs gate the corruption pair in. Strip it from every round
+  # and run_end line, and, separately, from the first round whose pair
+  # reads 0 (every run_end sum still holds then): both must be rejected.
+  if(variant STREQUAL "byz")
+    file(READ ${WORKDIR}/byz.jsonl byz_text)
+    string(REGEX REPLACE ",\"corruptions\":[0-9]+,\"corrupted\":[0-9]+" ""
+      stripped_all "${byz_text}")
+    string(REGEX MATCH
+      "{\"event\":\"round\",[^\n]*,\"corruptions\":0,\"corrupted\":0}"
+      zero_round "${byz_text}")
+    if(stripped_all STREQUAL byz_text OR zero_round STREQUAL "")
+      message(FATAL_ERROR "byz.jsonl has no corruption pair to strip")
+    endif()
+    string(REPLACE ",\"corruptions\":0,\"corrupted\":0}" "}"
+      zero_round_stripped "${zero_round}")
+    string(REPLACE "${zero_round}" "${zero_round_stripped}"
+      stripped_one "${byz_text}")
+    file(WRITE ${WORKDIR}/byz.stripped_all.jsonl "${stripped_all}")
+    file(WRITE ${WORKDIR}/byz.stripped_one.jsonl "${stripped_one}")
+    expect_rejected(${WORKDIR}/byz.stripped_all.jsonl)
+    expect_rejected(${WORKDIR}/byz.stripped_one.jsonl)
+  endif()
 
   # The headline size claim: binary at least 4x smaller than JSONL.
   file(SIZE ${WORKDIR}/${variant}.jsonl jsonl_bytes)
