@@ -1,9 +1,9 @@
 // Canonical config → executable batch.
 //
-// A RunPlan is the daemon-side twin of the CLI's flag wiring: the same
-// protocol/adversary/scheduler/delay factories, the same RepeatSpec
-// construction, built from a canonical synran-req/1 config instead of
-// argv. Execution returns the batch's EXACT checkpoint payload
+// build_plan reads the canonical synran-req/1 config back through
+// runner/run_config, the one plan builder `synran run` also uses, so the
+// daemon and the CLI wire the same factories and spec from one config.
+// Execution returns the batch's EXACT checkpoint payload
 // (RepeatedRunStats/AsyncRunStats::checkpoint_json), which is what the
 // content-addressed cache stores; the client-facing result object is then
 // derived from that payload by result_from_payload() on BOTH the compute
@@ -11,31 +11,13 @@
 // construction, not by luck.
 #pragma once
 
-#include <memory>
-
-#include "async/benor.hpp"
-#include "exec/async_batch.hpp"
-#include "exec/batch.hpp"
 #include "obs/json.hpp"
+#include "runner/run_config.hpp"
 
 namespace synran::serve {
 
-/// One executable batch. Exactly one of the sync/async halves is live,
-/// selected by `is_async`.
-struct RunPlan {
-  bool is_async = false;
-
-  // Sync (is_async == false).
-  std::unique_ptr<ProcessFactory> factory;
-  AdversaryFactory adversaries;
-  RepeatSpec spec;
-
-  // Async (is_async == true).
-  BenOrOptions benor;
-  AsyncSchedulerFactory schedulers;
-  AsyncDelayFactory delays;
-  AsyncRepeatSpec aspec;
-};
+/// One executable batch: runner/run_config's plan.
+using RunPlan = synran::RunPlan;
 
 /// Builds the plan for a canonical config (as produced by parse_request).
 /// `threads` is the server's worker count — an execution resource, never

@@ -1,14 +1,15 @@
 // synran-req/1 request parsing, validation, and canonicalization.
 //
-// The daemon applies the CLI's strictness to every field — unknown names,
-// unparsable or out-of-range values, and unknown keys are all structured
-// rejections, never crashes — and then rebuilds the run configuration in
-// CANONICAL form: every field present (defaults applied), fixed key
-// order, compact serialization. Two requests that describe the same batch
-// — one spelling out defaults, one omitting them — canonicalize to the
-// same bytes, and those bytes (plus the seed schema version and git_rev)
-// are what the content-addressed result cache hashes. See EXPERIMENTS.md
-// "synran-req/1" for the schema and the canonicalization rules.
+// The run config is read by runner/run_config, the key table and rules
+// `synran run` applies to its flags: unknown names, unparsable or
+// out-of-range values, and unknown keys are all structured rejections,
+// never crashes. It comes back in CANONICAL form: every key of the model
+// present (defaults applied), fixed key order, compact serialization. Two
+// requests that describe the same batch — one spelling out defaults, one
+// omitting them — canonicalize to the same bytes, and those bytes (plus
+// the seed schema version and git_rev) are what the content-addressed
+// result cache hashes. See EXPERIMENTS.md "synran-req/1" for the schema
+// and the canonicalization rules.
 #pragma once
 
 #include <cstdint>

@@ -589,6 +589,35 @@ TEST(Server, AsyncBudgetsFromHalfNAndZeroRepsAreBadRequests) {
   EXPECT_EQ(server.cache().entries(), 0u);
 }
 
+TEST(Server, NanFaultRatesAreBadRequests) {
+  const std::string dir = temp_dir("srv_nan_rate");
+  Server server(test_options(dir + "/cache"));
+  // A NaN rate passes a "below 0 or above 1" test. These configs used to
+  // reach the omission and corruption adversaries' REQUIRE and come back
+  // run_failed, with the engine's source path in the message.
+  const auto result = serve_over_files(
+      server, dir,
+      {R"({"schema":"synran-req/1","id":"omit","cmd":"run","config":)"
+       R"({"model":"sync","n":8,"t":2,"reps":2,"faults":"omit:nan"}})",
+       R"({"schema":"synran-req/1","id":"byz","cmd":"run","config":)"
+       R"({"model":"sync","n":8,"t":2,"reps":2,"faults":"byz:nan,3"}})",
+       R"({"schema":"synran-req/1","id":"after","cmd":"ping"})"});
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.bodies.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JsonValue rejected = parse_json(result.bodies[i]);
+    EXPECT_EQ(rejected.find("error")->find("code")->as_string(),
+              "bad_request")
+        << result.bodies[i];
+    EXPECT_NE(rejected.find("error")->find("message")->as_string().find(
+                  "must lie in [0, 1]"),
+              std::string::npos)
+        << result.bodies[i];
+  }
+  EXPECT_TRUE(parse_json(result.bodies[2]).find("ok")->as_bool());
+  EXPECT_EQ(server.cache().entries(), 0u);
+}
+
 TEST(Server, DeadlineAppliesToAsyncBatchesToo) {
   const std::string dir = temp_dir("srv_deadline_async");
   Server server(test_options(dir + "/cache"));

@@ -25,31 +25,23 @@
 //   0  safe, successful run
 //   1  safety or runtime failure (agreement/validity violations, reps that
 //      hit --max-rounds, quarantined reps, I/O errors)
-//   2  usage error (unknown names, malformed or out-of-range flag values)
+//   2  usage error (unknown flags or names, malformed or out-of-range flag
+//      values, a budget the engine cannot run)
 //   3  interrupted (SIGINT/SIGTERM honored between repetitions)
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
-#include "adversary/basic.hpp"
-#include "adversary/byzantine.hpp"
-#include "async/benor.hpp"
-#include "adversary/coinbias.hpp"
-#include "adversary/nonadaptive.hpp"
-#include "adversary/omission.hpp"
 #include "coin/forcing.hpp"
 #include "coin/games.hpp"
 #include "coin/recursive_games.hpp"
@@ -59,11 +51,10 @@
 #include "obs/checkpoint.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_writer.hpp"
-#include "protocols/floodmin.hpp"
-#include "protocols/leadercoin.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
 #include "runner/narrate.hpp"
+#include "runner/run_config.hpp"
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
 
@@ -71,197 +62,11 @@ namespace {
 
 using namespace synran;
 
-/// A malformed invocation: unknown names, unparsable or out-of-range flag
-/// values. Caught in main() and turned into a one-line message + exit 2.
-class UsageError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Strict whole-string unsigned parse: rejects empty strings, signs, trailing
-/// junk ("0x", "12a"), and overflow, with the flag name in the message.
-std::uint64_t parse_u64(const std::string& key, const std::string& text) {
-  std::uint64_t v = 0;
-  const char* b = text.data();
-  const char* e = b + text.size();
-  const auto [p, ec] = std::from_chars(b, e, v);
-  if (text.empty() || ec != std::errc() || p != e) {
-    throw UsageError("invalid value for --" + key + ": '" + text +
-                     "' (expected a non-negative integer)");
-  }
-  return v;
-}
-
-std::uint32_t parse_u32(const std::string& key, const std::string& text) {
-  const std::uint64_t v = parse_u64(key, text);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw UsageError("value for --" + key + " is out of range: '" + text +
-                     "'");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-/// Strict whole-string double parse (for rates).
-double parse_f64(const std::string& key, const std::string& text) {
-  double v = 0.0;
-  const char* b = text.data();
-  const char* e = b + text.size();
-  const auto [p, ec] = std::from_chars(b, e, v);
-  if (text.empty() || ec != std::errc() || p != e) {
-    throw UsageError("invalid value for --" + key + ": '" + text +
-                     "' (expected a number)");
-  }
-  return v;
-}
-
-/// Minimal argument parser: accepts both "--key value" and "--key=value".
-/// Names listed in `flags` are booleans — they take no value and read back
-/// as "1" (get("name", "") != "" tests presence).
-class Args {
- public:
-  Args(int argc, char** argv, int first,
-       const std::set<std::string>& flags = {}) {
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw UsageError("expected --key value pairs, got '" +
-                         std::string(argv[i]) + "'");
-      }
-      const std::string arg = argv[i] + 2;
-      if (const auto eq = arg.find('='); eq != std::string::npos) {
-        kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        continue;
-      }
-      if (flags.count(arg) != 0) {
-        kv_[arg] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw UsageError("missing value for '--" + arg + "'");
-      }
-      kv_[arg] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key, const std::string& dflt) const {
-    auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : it->second;
-  }
-  std::uint64_t num(const std::string& key, std::uint64_t dflt) const {
-    auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : parse_u64(key, it->second);
-  }
-  std::uint32_t num32(const std::string& key, std::uint32_t dflt) const {
-    auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : parse_u32(key, it->second);
-  }
-
- private:
-  std::map<std::string, std::string> kv_;
-};
-
-std::unique_ptr<ProcessFactory> make_protocol(const std::string& name,
-                                              std::uint32_t t) {
-  if (name == "synran") return std::make_unique<SynRanFactory>();
-  if (name == "benor-sym") {
-    SynRanOptions o;
-    o.coin_rule = CoinRule::Symmetric;
-    return std::make_unique<SynRanFactory>(o);
-  }
-  if (name == "synran-nodet") {
-    SynRanOptions o;
-    o.det_handoff = false;
-    return std::make_unique<SynRanFactory>(o);
-  }
-  if (name == "floodmin")
-    return std::make_unique<FloodMinFactory>(FloodMinOptions{t, false});
-  if (name == "floodmin-early")
-    return std::make_unique<FloodMinFactory>(FloodMinOptions{t, true});
-  if (name == "leadercoin") return std::make_unique<LeaderCoinFactory>();
-  return nullptr;
-}
-
-AdversaryFactory make_adversary(const std::string& name) {
-  if (name == "none") return no_adversary_factory();
-  if (name == "random")
-    return [](std::uint64_t s) {
-      return std::make_unique<RandomCrashAdversary>(
-          RandomCrashAdversary::Options{2, 0.6, s});
-    };
-  if (name == "chain")
-    return [](std::uint64_t) {
-      return std::make_unique<ChainHidingAdversary>();
-    };
-  if (name == "coinbias")
-    return [](std::uint64_t s) {
-      return std::make_unique<CoinBiasAdversary>(
-          CoinBiasOptions{0.55, true, s});
-    };
-  if (name == "oblivious")
-    return [](std::uint64_t s) {
-      return std::make_unique<ObliviousAdversary>(ObliviousOptions{64, s});
-    };
-  if (name == "leader-killer")
-    return [](std::uint64_t) {
-      return std::make_unique<LeaderKillerAdversary>();
-    };
-  return nullptr;
-}
-
-InputPattern parse_pattern(const std::string& name) {
-  if (name == "all-0") return InputPattern::AllZero;
-  if (name == "all-1") return InputPattern::AllOne;
-  if (name == "half") return InputPattern::Half;
-  if (name == "single-0") return InputPattern::SingleZero;
-  if (name == "random") return InputPattern::Random;
-  throw UsageError("invalid --pattern '" + name +
-                   "' (expected all-0, all-1, half, single-0, or random)");
-}
-
-/// The engines' own limits, checked before any run starts: n >= 1, and
-/// t <= n for the sync engine. --model=async runs Ben-Or, which needs
-/// t < n/2.
-void check_budget(std::uint32_t n, std::uint32_t t, bool async) {
-  if (n == 0) throw UsageError("invalid --n 0: a run needs a process");
-  if (async ? 2 * static_cast<std::uint64_t>(t) >= n : t > n)
-    throw UsageError("invalid --t " + std::to_string(t) + " for --n " +
-                     std::to_string(n) + ": " +
-                     (async ? "Ben-Or on the async engine needs t < n/2"
-                            : "the sync engine needs t <= n"));
-}
-
-/// --reps, checked before any run starts: a batch needs a repetition.
-std::uint64_t reps_flag(const Args& args) {
-  const std::uint64_t reps = args.num("reps", 50);
-  if (reps == 0)
-    throw UsageError("invalid --reps 0: a batch needs at least one "
-                     "repetition");
-  return reps;
-}
-
-/// Parsed --faults. `omit:RATE[,BUDGET]` layers seeded i.i.d. link drops
-/// (ChaosAdversary); `byz:RATE[,BUDGET]` layers seeded equivocating value
-/// corruption (ByzantineAdversary). Both stay off without the flag.
-struct FaultFlag {
-  bool enabled = false;
-  /// Corrupted-value regime (byz:) instead of link drops (omit:).
-  bool byzantine = false;
-  double rate = 0.0;
-  /// Directive budget (omission or corruption, per the regime); defaults to
-  /// "effectively unlimited" so a bare --faults=omit:p / byz:p studies the
-  /// pure rate regime.
-  std::uint32_t budget = std::numeric_limits<std::uint32_t>::max();
-};
-
-/// Parsed --trace-format (default jsonl, the human-readable schema).
-obs::TraceFormat parse_format_flag(const Args& args) {
-  const std::string name = args.get("trace-format", "jsonl");
-  const auto format = obs::parse_trace_format(name);
-  if (!format.has_value()) {
-    throw UsageError("invalid --trace-format '" + name +
-                     "' (expected jsonl or bin)");
-  }
-  return *format;
-}
+/// A malformed invocation: unknown flags or names, unparsable or
+/// out-of-range flag values, a budget the engines cannot run. Caught in
+/// main() and turned into a one-line message + exit 2. Run configs raise it
+/// from runner/run_config, which owns the flags `run` shares with serve.
+using UsageError = ConfigError;
 
 /// Header metadata for binary traces the CLI produces: the current seeding
 /// schema, provenance unknown (the CLI has no build id baked in).
@@ -271,145 +76,55 @@ obs::Trace2Header cli_trace_header() {
   return header;
 }
 
-FaultFlag parse_faults(const std::string& text) {
-  FaultFlag f;
-  if (text.empty()) return f;
-  std::string rest;
-  if (text.rfind("omit:", 0) == 0) {
-    rest = text.substr(5);
-  } else if (text.rfind("byz:", 0) == 0) {
-    f.byzantine = true;
-    rest = text.substr(4);
-  } else {
-    throw UsageError("invalid --faults '" + text +
-                     "': expected omit:RATE[,BUDGET] or byz:RATE[,BUDGET]");
+/// Parsed --trace-format (default jsonl, the human-readable schema).
+obs::TraceFormat parse_format_flag(const ArgvSource& args) {
+  const std::string name = args.get("trace-format", "jsonl");
+  const auto format = obs::parse_trace_format(name);
+  if (!format.has_value()) {
+    throw UsageError("invalid --trace-format '" + name +
+                     "' (expected jsonl or bin)");
   }
-  if (const auto comma = rest.find(','); comma != std::string::npos) {
-    f.budget = parse_u32("faults", rest.substr(comma + 1));
-    rest = rest.substr(0, comma);
-  }
-  f.rate = parse_f64("faults", rest);
-  if (f.rate < 0.0 || f.rate > 1.0) {
-    throw UsageError("invalid --faults rate '" + rest +
-                     "': must lie in [0, 1]");
-  }
-  f.enabled = true;
-  return f;
+  return *format;
 }
 
-/// Parsed --scheduler for --model=async.
-AsyncSchedulerFactory make_scheduler(const std::string& name) {
-  if (name == "fifo") return fifo_scheduler_factory();
-  if (name == "random") return random_scheduler_factory();
-  if (name == "laggard") return laggard_scheduler_factory();
-  if (name == "stall") return stall_scheduler_factory();
-  throw UsageError("invalid --scheduler '" + name +
-                   "' (expected fifo, random, laggard, or stall)");
+/// The --trace-out writer, in the --trace-format format; null without
+/// --trace-out. A path that cannot be opened is a usage error.
+std::unique_ptr<obs::TraceWriter> open_trace(const ArgvSource& args) {
+  const std::string path = args.get("trace-out", "");
+  if (path.empty()) return nullptr;
+  try {
+    return obs::make_trace_writer(parse_format_flag(args), path,
+                                  cli_trace_header());
+  } catch (const obs::IoError& e) {
+    throw UsageError(e.what());
+  }
 }
 
-/// Parsed --delay held|fixed:D|uniform:LO,HI for --model=async.
-AsyncDelayFactory make_delay(const std::string& text) {
-  if (text.empty() || text == "held") return held_delay_factory();
-  if (text.rfind("fixed:", 0) == 0) {
-    return fixed_delay_factory(parse_u64("delay", text.substr(6)));
-  }
-  if (text.rfind("uniform:", 0) == 0) {
-    const std::string rest = text.substr(8);
-    const auto comma = rest.find(',');
-    if (comma == std::string::npos) {
-      throw UsageError("invalid --delay '" + text +
-                       "': uniform needs LO,HI");
-    }
-    const auto lo = parse_u64("delay", rest.substr(0, comma));
-    const auto hi = parse_u64("delay", rest.substr(comma + 1));
-    if (lo > hi) {
-      throw UsageError("invalid --delay '" + text + "': LO must be <= HI");
-    }
-    return uniform_delay_factory(lo, hi);
-  }
-  throw UsageError("invalid --delay '" + text +
-                   "' (expected held, fixed:D, or uniform:LO,HI)");
-}
+/// Flags `run` reads itself; every other flag must be a key of the run's
+/// model (runner/run_config).
+constexpr std::string_view kRunFlags[] = {"threads", "trace-out",
+                                          "trace-format", "resume"};
 
 /// The async branch of `run` (--model=async): repeated event-driven
 /// executions of Ben-Or under a scheduler + delay model, optionally in
 /// partial synchrony (--gst/--delta).
-int cmd_run_async(const Args& args) {
-  exec::install_stop_handlers();
-
-  const auto n = args.num32("n", 32);
-  const auto t = args.num32("t", n >= 2 ? (n - 1) / 2 : 0);
-  check_budget(n, t, true);
-  const auto reps = reps_flag(args);
-  const auto proto = args.get("protocol", "benor");
-  if (proto != "benor") {
-    throw UsageError("--model=async supports --protocol benor only");
+int cmd_run_async(const ArgvSource& args, const RunConfig& config,
+                  RunPlan& plan) {
+  if (args.has("resume")) {
+    throw UsageError("--resume does not apply to --model=async");
   }
-  // Sync-only machinery is rejected loudly rather than ignored.
-  for (const char* flag : {"adversary", "faults", "resume", "fail-policy",
-                           "retries", "max-rounds"}) {
-    if (!args.get(flag, "").empty()) {
-      throw UsageError(std::string("--") + flag +
-                       " does not apply to --model=async" +
-                       (std::string(flag) == "adversary"
-                            ? " (use --scheduler)"
-                            : ""));
-    }
-  }
-
-  AsyncSchedulerFactory schedulers =
-      make_scheduler(args.get("scheduler", "random"));
-  AsyncDelayFactory delays = make_delay(args.get("delay", "held"));
-  const auto gst = args.num("gst", 0);
-  const auto delta = args.num("delta", 0);
-  if ((gst != 0 || delta != 0)) {
-    // Partial synchrony: adversary-held before GST, forced delivery within
-    // --delta after. Composes with the scheduler, not the timed delays.
-    if (args.get("delay", "held") != "held") {
-      throw UsageError("--gst/--delta require --delay held (they bound the "
-                       "adversary, not a timed link model)");
-    }
-    if (delta == 0) {
-      throw UsageError("--gst needs --delta >= 1 (the post-GST bound)");
-    }
-    delays = gst_delay_factory(gst, delta);
-  }
-
-  BenOrOptions protocol_options;
-  protocol_options.retransmit_every = args.num("retransmit", 0);
-  const BenOrAsyncFactory factory(protocol_options);
-
-  AsyncRepeatSpec spec;
-  spec.n = n;
-  spec.pattern = parse_pattern(args.get("pattern", "random"));
-  spec.reps = reps;
-  spec.seed = args.num("seed", 1);
-  spec.threads = static_cast<unsigned>(args.num("threads", 0));
-  spec.engine.t_budget = t;
-  spec.engine.max_steps = args.num("max-steps", 2000000);
-  if (const auto max_time = args.num("max-time", 0); max_time != 0) {
-    spec.engine.max_time = max_time;
-  }
-
-  std::unique_ptr<obs::TraceWriter> tracer;
-  if (const auto path = args.get("trace-out", ""); !path.empty()) {
-    try {
-      tracer = obs::make_trace_writer(parse_format_flag(args), path,
-                                      cli_trace_header());
-    } catch (const obs::IoError& e) {
-      throw UsageError(e.what());
-    }
-    spec.engine.observer = tracer.get();
-  }
+  const BenOrAsyncFactory factory(plan.benor);
+  const std::unique_ptr<obs::TraceWriter> tracer = open_trace(args);
+  plan.aspec.engine.observer = tracer.get();
   const AsyncRunStats stats =
-      run_repeated_async(factory, schedulers, delays, spec);
+      run_repeated_async(factory, plan.schedulers, plan.delays, plan.aspec);
   if (tracer != nullptr) tracer->close();
 
-  Table table("benor-async vs " + args.get("scheduler", "random"));
+  Table table("benor-async vs " + config.scheduler);
   table.header({"metric", "value"});
   table.row({std::string("n / t / reps"),
-             std::to_string(n) + " / " + std::to_string(t) + " / " +
-                 std::to_string(stats.reps())});
+             std::to_string(config.n) + " / " + std::to_string(config.t) +
+                 " / " + std::to_string(stats.reps())});
   table.row({std::string("rounds to decision (mean)"),
              stats.rounds_to_decision().mean()});
   table.row({std::string("ticks to decision (mean)"),
@@ -439,75 +154,10 @@ int cmd_run_async(const Args& args) {
   return stats.all_safe() ? 0 : 1;
 }
 
-int cmd_run(const Args& args) {
-  // Long-running batches honor SIGINT/SIGTERM between repetitions: the
-  // executor finishes in-flight reps, then throws exec::Interrupted, which
-  // main() turns into exit code 3.
-  exec::install_stop_handlers();
-
-  const auto n = args.num32("n", 128);
-  const auto t = args.num32("t", n / 2);
-  check_budget(n, t, false);
-  const auto reps = reps_flag(args);
-  const auto proto = args.get("protocol", "synran");
-  const auto adv = args.get("adversary", "coinbias");
-  const auto faults = parse_faults(args.get("faults", ""));
-
-  const auto policy_name = args.get("fail-policy", "fail_fast");
-  FailurePolicy policy;
-  if (policy_name == "fail_fast") {
-    policy = FailurePolicy::FailFast;
-  } else if (policy_name == "quarantine") {
-    policy = FailurePolicy::Quarantine;
-  } else {
-    throw UsageError("invalid --fail-policy '" + policy_name +
-                     "' (expected fail_fast or quarantine)");
-  }
-
-  const auto factory = make_protocol(proto, t);
-  AdversaryFactory adversaries = make_adversary(adv);
-  if (!factory || !adversaries) {
-    throw UsageError("unknown protocol or adversary");
-  }
-  if (faults.enabled) {
-    // Layer seeded link faults over the chosen crash adversary. The fault
-    // coins use their own derived stream so they never perturb the inner
-    // adversary's randomness (stream 1 = omission chaos, 2 = corruption).
-    if (faults.byzantine) {
-      adversaries = [inner = std::move(adversaries),
-                     faults](std::uint64_t s) -> std::unique_ptr<Adversary> {
-        ByzantineOptions byz;
-        byz.corrupt_rate = faults.rate;
-        byz.seed = SeedSequence(s).stream(2);
-        return std::make_unique<ByzantineAdversary>(byz, inner(s));
-      };
-    } else {
-      adversaries = [inner = std::move(adversaries),
-                     faults](std::uint64_t s) -> std::unique_ptr<Adversary> {
-        ChaosOptions chaos;
-        chaos.drop_rate = faults.rate;
-        chaos.seed = SeedSequence(s).stream(1);
-        return std::make_unique<ChaosAdversary>(chaos, inner(s));
-      };
-    }
-  }
-
-  RepeatSpec spec;
-  spec.n = n;
-  spec.pattern = parse_pattern(args.get("pattern", "random"));
-  spec.reps = reps;
-  spec.seed = args.num("seed", 1);
-  spec.threads = static_cast<unsigned>(args.num("threads", 0));
-  spec.engine.t_budget = t;
-  spec.engine.max_rounds = args.num32("max-rounds", 100000);
-  spec.max_rep_retries = args.num32("retries", 0);
-  spec.policy = policy;
-  if (faults.enabled) {
-    if (faults.byzantine)
-      spec.engine.byzantine_budget = faults.budget;
-    else
-      spec.engine.omission_budget = faults.budget;
-  }
+int cmd_run_sync(const ArgvSource& args, const RunConfig& config,
+                 RunPlan& plan) {
+  const FaultSpec faults = parse_faults(config.faults, "--faults");
+  RepeatSpec& spec = plan.spec;
 
   // --resume=FILE binds a synran-ckpt/1 ledger keyed by the full spec (plus
   // the adversary/fault flags, which shape results but not the spec). A key
@@ -518,7 +168,8 @@ int cmd_run(const Args& args) {
   std::string cell_key;
   if (!resume_path.empty()) {
     cell_key = spec_cell_key(
-        spec, proto, "cli:" + adv + ":faults=" + args.get("faults", ""));
+        spec, config.protocol,
+        "cli:" + config.adversary + ":faults=" + config.faults);
     ledger = std::make_unique<obs::CheckpointLedger>(resume_path, "synran-run",
                                                      spec.seed);
   }
@@ -533,21 +184,12 @@ int cmd_run(const Args& args) {
     }
   }
 
-  std::unique_ptr<obs::TraceWriter> tracer;
   if (!restored) {
-    if (const auto path = args.get("trace-out", ""); !path.empty()) {
-      // Any thread count: the executor buffers per-rep callbacks and
-      // replays them in rep order, so the trace bytes match a serial run.
-      try {
-        tracer =
-            obs::make_trace_writer(parse_format_flag(args), path,
-                                   cli_trace_header());
-      } catch (const obs::IoError& e) {
-        throw UsageError(e.what());
-      }
-      spec.engine.observer = tracer.get();
-    }
-    stats = run_repeated(*factory, adversaries, spec);
+    // Any thread count: the executor buffers per-rep callbacks and replays
+    // them in rep order, so the trace bytes match a serial run.
+    const std::unique_ptr<obs::TraceWriter> tracer = open_trace(args);
+    spec.engine.observer = tracer.get();
+    stats = run_repeated(*plan.factory, plan.adversaries, spec);
     if (tracer != nullptr) tracer->close();
     // Record after a completed batch only; an interrupt above never leaves
     // a half-written cell. obs::IoError propagates to main() → exit 1.
@@ -558,11 +200,11 @@ int cmd_run(const Args& args) {
     std::cerr << "[resume: --trace-out skipped — batch was not re-executed]\n";
   }
 
-  Table table(proto + " vs " + adv);
+  Table table(config.protocol + " vs " + config.adversary);
   table.header({"metric", "value"});
   table.row({std::string("n / t / reps"),
-             std::to_string(n) + " / " + std::to_string(t) + " / " +
-                 std::to_string(stats.reps())});
+             std::to_string(config.n) + " / " + std::to_string(config.t) +
+                 " / " + std::to_string(stats.reps())});
   table.row({std::string("rounds to decision (mean)"),
              stats.rounds_to_decision().mean()});
   table.row({std::string("rounds to decision (sd)"),
@@ -570,13 +212,13 @@ int cmd_run(const Args& args) {
   table.row({std::string("rounds to halt (mean)"),
              stats.rounds_to_halt().mean()});
   table.row({std::string("crashes used (mean)"), stats.crashes_used().mean()});
-  if (faults.enabled && !faults.byzantine) {
+  if (faults.family == FaultFamily::Omit) {
     table.row({std::string("omissions used (mean)"),
                stats.omissions_used().mean()});
     table.row({std::string("messages omitted (mean)"),
                stats.messages_omitted().mean()});
   }
-  if (faults.enabled && faults.byzantine) {
+  if (faults.family == FaultFamily::Byz) {
     table.row({std::string("corruptions used (mean)"),
                stats.corruptions_used().mean()});
     table.row({std::string("messages corrupted (mean)"),
@@ -591,7 +233,7 @@ int cmd_run(const Args& args) {
              static_cast<long long>(stats.validity_failures())});
   table.row({std::string("non-terminated"),
              static_cast<long long>(stats.non_terminated())});
-  if (policy == FailurePolicy::Quarantine) {
+  if (spec.policy == FailurePolicy::Quarantine) {
     table.row({std::string("reps quarantined"),
                static_cast<long long>(stats.reps_quarantined())});
   }
@@ -615,8 +257,22 @@ int cmd_run(const Args& args) {
   return stats.all_safe() && stats.reps_quarantined() == 0 ? 0 : 1;
 }
 
-int cmd_coin(const Args& args) {
-  const auto n = args.num32("n", 256);
+/// `synran run`: one run config, read from the flags by runner/run_config,
+/// built into a plan and executed on the sync or the async engine.
+int cmd_run(const ArgvSource& args) {
+  // Long-running batches honor SIGINT/SIGTERM between repetitions: the
+  // executor finishes in-flight reps, then throws exec::Interrupted, which
+  // main() turns into exit code 3.
+  exec::install_stop_handlers();
+  const RunConfig config = read_run_config(args, kRunFlags);
+  RunPlan plan =
+      build_plan(config, static_cast<unsigned>(args.u64("threads", 0)));
+  return config.is_async() ? cmd_run_async(args, config, plan)
+                           : cmd_run_sync(args, config, plan);
+}
+
+int cmd_coin(const ArgvSource& args) {
+  const auto n = args.u32("n", 256);
   const auto game_name = args.get("game", "majority");
   std::unique_ptr<CoinGame> game;
   if (game_name == "majority")
@@ -633,10 +289,10 @@ int cmd_coin(const Args& args) {
     throw UsageError("unknown game (majority|majority0|parity|leader|tribes)");
   }
 
-  const auto budget = args.num32("budget", 0);
-  const auto samples = args.num("samples", 400);
+  const auto budget = args.u32("budget", 0);
+  const auto samples = args.u64("samples", 400);
   const auto est =
-      estimate_control(*game, budget, samples, args.num("seed", 1));
+      estimate_control(*game, budget, samples, args.u64("seed", 1));
 
   Table table(std::string(game->name()) + " control");
   table.header({"outcome", "Pr(U^v)", "< 1/n?"});
@@ -651,10 +307,10 @@ int cmd_coin(const Args& args) {
   return 0;
 }
 
-int cmd_valency(const Args& args) {
-  const auto n = args.num32("n", 3);
+int cmd_valency(const ArgvSource& args) {
+  const auto n = args.u32("n", 3);
   ValencyOptions opts;
-  opts.t_budget = args.num32("t", 1);
+  opts.t_budget = args.u32("t", 1);
   // Checked before the 2^n loop below shifts by n.
   if (n == 0 || n > kValencyMaxN)
     throw UsageError("invalid --n " + std::to_string(n) +
@@ -664,7 +320,7 @@ int cmd_valency(const Args& args) {
     throw UsageError("invalid --t " + std::to_string(opts.t_budget) +
                      " for --n " + std::to_string(n) +
                      ": valency needs t < n");
-  opts.max_depth = args.num32("depth", 14);
+  opts.max_depth = args.u32("depth", 14);
   SynRanFactory factory;
 
   Table table("SynRan initial-state valencies");
@@ -695,16 +351,15 @@ int cmd_valency(const Args& args) {
   return 0;
 }
 
-int cmd_narrate(const Args& args) {
-  const auto n = args.num32("n", 96);
-  const auto t = args.num32("t", n - 1);
-  check_budget(n, t, false);
-  const auto seed = args.num("seed", 11);
-  const auto adversaries = make_adversary(args.get("adversary", "coinbias"));
-  if (!adversaries) {
-    throw UsageError("unknown adversary");
-  }
-  auto inner = adversaries(seed);
+int cmd_narrate(const ArgvSource& args) {
+  const auto n = args.u32("n", 96);
+  const auto t = args.u32("t", n - 1);
+  check_budget(n, t, false, args);
+  const auto seed = args.u64("seed", 11);
+  auto inner = adversary_factory(args.get("adversary", "coinbias"),
+                                 args.name("adversary"))(seed);
+  const InputPattern pattern =
+      input_pattern(args.get("pattern", "half"), args.name("pattern"));
   SynRanFactory factory;
   std::vector<obs::TraceRecord> records;
   obs::TraceRecorder recorder(records);
@@ -715,19 +370,10 @@ int cmd_narrate(const Args& args) {
   opts.seed = seed;
   opts.max_rounds = 100000;
   opts.observer = &observers;
-  std::unique_ptr<obs::TraceWriter> trace_out;
-  if (const auto path = args.get("trace-out", ""); !path.empty()) {
-    try {
-      trace_out = obs::make_trace_writer(parse_format_flag(args), path,
-                                         cli_trace_header());
-    } catch (const obs::IoError& e) {
-      throw UsageError(e.what());
-    }
-    observers.add(*trace_out);
-  }
+  const std::unique_ptr<obs::TraceWriter> trace_out = open_trace(args);
+  if (trace_out != nullptr) observers.add(*trace_out);
   Xoshiro256 rng(seed);
-  const auto inputs =
-      make_inputs(n, parse_pattern(args.get("pattern", "half")), rng);
+  const auto inputs = make_inputs(n, pattern, rng);
   const auto res = run_once(factory, inputs, *inner, opts);
   if (trace_out != nullptr) trace_out->close();
   narrate(records, std::cout);
@@ -742,7 +388,7 @@ int cmd_narrate(const Args& args) {
 /// an explicit --to). Conversion replays records through a fresh writer, so
 /// jsonl→bin→jsonl and bin→jsonl→bin are byte-stable for CLI-produced
 /// files; --seed-schema/--git-rev reproduce a foreign binary header.
-int cmd_trace_convert(const Args& args) {
+int cmd_trace_convert(const ArgvSource& args) {
   const std::string in = args.get("in", "");
   const std::string out = args.get("out", "");
   if (in.empty() || out.empty()) {
@@ -761,7 +407,7 @@ int cmd_trace_convert(const Args& args) {
   }
   obs::Trace2Header header = cli_trace_header();
   header.seed_schema = static_cast<std::uint16_t>(
-      args.num("seed-schema", header.seed_schema));
+      args.u64("seed-schema", header.seed_schema));
   header.git_rev = args.get("git-rev", header.git_rev);
   const auto reader = obs::open_trace_reader(in);
   const auto writer = obs::make_trace_writer(to, out, std::move(header));
@@ -776,7 +422,7 @@ int cmd_trace_convert(const Args& args) {
 /// `synran trace stats`: stream a trace (either format) into the
 /// RepeatedRunStats-shaped aggregate. --format=json prints the raw metrics
 /// snapshot — byte-identical across the two trace encodings of one run.
-int cmd_trace_stats(const Args& args) {
+int cmd_trace_stats(const ArgvSource& args) {
   const std::string in = args.get("in", "");
   if (in.empty()) throw UsageError("trace stats needs --in FILE");
   const auto reader = obs::open_trace_reader(in);
@@ -828,10 +474,10 @@ int cmd_trace_stats(const Args& args) {
 
 /// `synran trace head`: decode the first --count events (either format) and
 /// print them as JSONL — the binary format's inspection hatch.
-int cmd_trace_head(const Args& args) {
+int cmd_trace_head(const ArgvSource& args) {
   const std::string in = args.get("in", "");
   if (in.empty()) throw UsageError("trace head needs --in FILE");
-  const std::uint64_t count = args.num("count", 10);
+  const std::uint64_t count = args.u64("count", 10);
   const auto reader = obs::open_trace_reader(in);
   obs::JsonlTraceWriter writer(std::cout);
   obs::TraceRecord record;
@@ -846,23 +492,23 @@ int cmd_trace_head(const Args& args) {
 /// over stdio or a Unix socket, content-addressed result cache, bounded
 /// queue with shedding, per-request deadlines, graceful drain). See
 /// EXPERIMENTS.md "Serving batches" and README.md "Serving".
-int cmd_serve(const Args& args) {
+int cmd_serve(const ArgvSource& args) {
   exec::install_stop_handlers();
 
   serve::ServerOptions opts;
   opts.socket_path = args.get("socket", "");
-  if (!args.get("stdio", "").empty() && !opts.socket_path.empty()) {
+  if (args.has("stdio") && !opts.socket_path.empty()) {
     throw UsageError("--stdio and --socket are mutually exclusive");
   }
   opts.cache_dir = args.get("cache-dir", ".synran-cache");
-  opts.max_queue = args.num("max-queue", 64);
+  opts.max_queue = args.u64("max-queue", 64);
   if (opts.max_queue == 0) {
     throw UsageError("--max-queue must be >= 1");
   }
-  opts.deadline_ms = args.num("deadline-ms", 0);
-  opts.threads = static_cast<unsigned>(args.num("threads", 0));
-  opts.max_cache_entries = args.num("max-cache-entries", 0);
-  opts.backoff_ms = static_cast<unsigned>(args.num("backoff-ms", 10));
+  opts.deadline_ms = args.u64("deadline-ms", 0);
+  opts.threads = static_cast<unsigned>(args.u64("threads", 0));
+  opts.max_cache_entries = args.u64("max-cache-entries", 0);
+  opts.backoff_ms = static_cast<unsigned>(args.u64("backoff-ms", 10));
   // Cache keys embed the build identity so a rebuilt binary never serves
   // results computed by different code. SYNRAN_GIT_REV (env) overrides.
   opts.git_rev = args.get("git-rev", "");
@@ -881,7 +527,7 @@ int cmd_serve(const Args& args) {
 /// half-closes, and streams the responses to stdout. Stdin is consumed
 /// fully before sending, so pipe scripts of smoke-test size — not bulk
 /// transfers — are the intended use.
-int cmd_request(const Args& args) {
+int cmd_request(const ArgvSource& args) {
   const std::string path = args.get("socket", "");
   if (path.empty()) {
     throw UsageError("request needs --socket PATH");
@@ -947,7 +593,7 @@ int cmd_request(const Args& args) {
   return 0;
 }
 
-int cmd_trace(const std::string& sub, const Args& args) {
+int cmd_trace(const std::string& sub, const ArgvSource& args) {
   if (sub == "convert") return cmd_trace_convert(args);
   if (sub == "stats") return cmd_trace_stats(args);
   if (sub == "head") return cmd_trace_head(args);
@@ -996,8 +642,10 @@ void usage() {
       "             --retransmit N (rebroadcast latest phase message every\n"
       "             N ticks; 0 = off)\n"
       "             --max-steps N --max-time T (per-rep caps)\n"
-      "           Sync-only flags (--adversary, --faults, --resume,\n"
-      "           --fail-policy, --retries, --max-rounds) are rejected.\n"
+      "           Flags of the other model (--adversary, --faults,\n"
+      "           --resume, --fail-policy, --retries, --max-rounds on\n"
+      "           async; --scheduler, --delay, ... on sync) and unknown\n"
+      "           flags are rejected.\n"
       "  coin     one-round game control: --game majority|majority0|\n"
       "           parity|leader|tribes --n --budget --samples\n"
       "  valency  exact initial-state valencies (tiny n): --n --t --depth\n"
@@ -1028,7 +676,7 @@ void usage() {
       "  0  safe, successful run\n"
       "  1  safety or runtime failure (agreement/validity violations,\n"
       "     non-terminated or quarantined reps, I/O errors)\n"
-      "  2  usage error (unknown names, malformed flag values)\n"
+      "  2  usage error (unknown flags or names, malformed flag values)\n"
       "  3  interrupted (SIGINT/SIGTERM; in-flight reps finish first)\n"
       "  4  serve drained (SIGINT/SIGTERM: queued requests answered\n"
       "     'shutting_down', cache left consistent, then exit)\n";
@@ -1052,21 +700,13 @@ int main(int argc, char** argv) {
         throw UsageError(
             "trace needs a subcommand: convert, stats, or head");
       }
-      return cmd_trace(argv[2], Args(argc, argv, 3));
+      return cmd_trace(argv[2], ArgvSource(argc, argv, 3));
     }
-    // serve parses its own Args: --stdio is a value-less flag the generic
-    // --key value parser would misread as a pair.
-    if (cmd == "serve") return cmd_serve(Args(argc, argv, 2, {"stdio"}));
-    Args args(argc, argv, 2);
-    if (cmd == "run") {
-      const std::string model = args.get("model", "sync");
-      if (model == "async") return cmd_run_async(args);
-      if (model != "sync") {
-        throw UsageError("invalid --model '" + model +
-                         "' (expected sync or async)");
-      }
-      return cmd_run(args);
-    }
+    // serve reads --stdio as a switch: a value-less flag the generic
+    // --key value reader would misread as a pair.
+    if (cmd == "serve") return cmd_serve(ArgvSource(argc, argv, 2, {"stdio"}));
+    const ArgvSource args(argc, argv, 2);
+    if (cmd == "run") return cmd_run(args);
     if (cmd == "coin") return cmd_coin(args);
     if (cmd == "valency") return cmd_valency(args);
     if (cmd == "narrate") return cmd_narrate(args);

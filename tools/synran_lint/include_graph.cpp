@@ -65,9 +65,9 @@ const std::map<std::string, std::vector<std::string>>& layer_direct_deps() {
        {"analysis", "adversary", "async", "coin", "exec", "lowerbound",
         "net", "obs", "protocols", "sim"}},
       // The serve daemon sits on top of the whole execution stack: it
-      // canonicalizes requests (obs JSON), rebuilds the CLI's factory
-      // wiring (adversary/protocols/async), and schedules on the batch
-      // executors through the runner front.
+      // reads and canonicalizes run configs and builds their factories
+      // through runner/run_config, the CLI's own config reader, and
+      // schedules on the batch executors through the runner front.
       {"serve", {"runner"}},
   };
   return deps;
