@@ -12,7 +12,6 @@ namespace synran {
 void CoinBiasAdversary::begin(std::uint32_t n, std::uint32_t /*t_budget*/) {
   rng_ = Xoshiro256(opts_.seed);
   last_count_.assign(n, n);  // the paper's N^0 = n convention
-  receipts_.assign(n, Receipt{});
   crashes_spent_ = 0;
   split_parity_ = false;
 }
@@ -28,7 +27,8 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
   // reached, crashes can no longer extend the execution. Every sender is
   // alive, so each scan below walks the live set in increasing order.
   const DynBitset& alive = world.alive();
-  std::vector<ProcessId> one_senders, zero_senders;
+  one_senders_.clear();
+  zero_senders_.clear();
   std::uint32_t det_senders = 0, senders = 0;
   alive.for_each_set([&](std::size_t i) {
     const auto p = world.payload(static_cast<ProcessId>(i));
@@ -39,9 +39,9 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
       return;
     }
     if (payload::supports(*p, Bit::One))
-      one_senders.push_back(static_cast<ProcessId>(i));
+      one_senders_.push_back(static_cast<ProcessId>(i));
     else
-      zero_senders.push_back(static_cast<ProcessId>(i));
+      zero_senders_.push_back(static_cast<ProcessId>(i));
   });
 
   const std::uint32_t budget = world.round_budget();
@@ -69,8 +69,8 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
     return plan;
   }
 
-  const std::uint64_t o = one_senders.size();
-  const std::uint64_t z = zero_senders.size();
+  const std::uint64_t o = one_senders_.size();
+  const std::uint64_t z = zero_senders_.size();
 
   // Every mask below is built once per round and shared by all of the
   // round's directives.
@@ -93,7 +93,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
       const std::uint32_t need = np_min / 20 + 1;
       const std::uint32_t kills = std::min<std::uint32_t>(
           {need, budget, static_cast<std::uint32_t>(o + z)});
-      auto& pool = o != 0 ? one_senders : zero_senders;
+      auto& pool = o != 0 ? one_senders_ : zero_senders_;
       for (std::uint32_t k = 0; k < kills; ++k) {
         const std::size_t j = k + rng_.below(pool.size() - k);
         std::swap(pool[k], pool[j]);
@@ -127,10 +127,10 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
       });
       split_parity_ = !split_parity_;
       for (std::uint32_t k = 0; k < kills; ++k) {
-        const std::size_t j = k + rng_.below(one_senders.size() - k);
-        std::swap(one_senders[k], one_senders[j]);
+        const std::size_t j = k + rng_.below(one_senders_.size() - k);
+        std::swap(one_senders_[k], one_senders_[j]);
       }
-      crash_all(std::span(one_senders).first(kills), std::move(reserve));
+      crash_all(std::span(one_senders_).first(kills), std::move(reserve));
     }
   } else if (10 * o < 5 * static_cast<std::uint64_t>(np_max)) {
     // 0-surplus. Thresholds compare O^r against the *previous* count, so
@@ -147,7 +147,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
         tick = !tick;
       });
       split_parity_ = !split_parity_;
-      crash_all(zero_senders, std::move(half));
+      crash_all(zero_senders_, std::move(half));
     }
   }
   // Otherwise every receiver sits inside the coin-flip window already; let
@@ -160,17 +160,14 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
 
 void CoinBiasAdversary::note_deliveries(const WorldView& world,
                                         const FaultPlan& plan) {
-  // Replay the delivery we just allowed so next round's thresholds use the
+  // Count the delivery we just allowed so next round's thresholds use the
   // receivers' true N^{r-1}.
   receivers_ = world.alive();
   for (const auto& c : plan.crashes) receivers_.reset(c.victim);
   world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
-  deliver_into(world.n(),
-               RoundTraffic{world.payloads(), &plan, &world.alive()},
-               receivers_, receipts_);
-  receivers_.for_each_set(
-      [&](std::size_t i) { last_count_[i] = receipts_[i].count; });
+  count_into(world.n(), RoundTraffic{world.payloads(), &plan, &world.alive()},
+             receivers_, last_count_);
 }
 
 }  // namespace synran

@@ -62,11 +62,12 @@ class CoinBiasAdversary final : public Adversary {
   CoinBiasOptions opts_;
   Xoshiro256 rng_;
   /// Predicted N^{r-1} per receiver (the adversary has full information and
-  /// replays the deliveries it allowed).
+  /// counts the deliveries it allowed).
   std::vector<std::uint32_t> last_count_;
-  /// Replay buffers, reused every round.
+  /// Per-round buffers, reused every round: this round's receivers and its
+  /// probabilistic senders by the value their message supports.
   DynBitset receivers_;
-  std::vector<Receipt> receipts_;
+  std::vector<ProcessId> one_senders_, zero_senders_;
   std::uint32_t crashes_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros
 };

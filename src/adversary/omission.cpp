@@ -50,7 +50,6 @@ FaultPlan ChaosAdversary::plan_round(const WorldView& world) {
 void OmissionAdversary::begin(std::uint32_t n, std::uint32_t /*t_budget*/) {
   rng_ = Xoshiro256(opts_.seed);
   last_count_.assign(n, n);  // the paper's N^0 = n convention
-  receipts_.assign(n, Receipt{});
   omissions_spent_ = 0;
   split_parity_ = false;
 }
@@ -171,16 +170,13 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
 
 void OmissionAdversary::note_deliveries(const WorldView& world,
                                         const FaultPlan& plan) {
-  // Replay the delivery we just allowed (omissions included) so next round's
+  // Count the delivery we just allowed (omissions included) so next round's
   // thresholds use the receivers' true N^{r-1}.
   receivers_ = world.alive();
   world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
-  deliver_into(world.n(),
-               RoundTraffic{world.payloads(), &plan, &world.alive()},
-               receivers_, receipts_);
-  receivers_.for_each_set(
-      [&](std::size_t i) { last_count_[i] = receipts_[i].count; });
+  count_into(world.n(), RoundTraffic{world.payloads(), &plan, &world.alive()},
+             receivers_, last_count_);
 }
 
 }  // namespace synran

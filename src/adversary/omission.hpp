@@ -97,12 +97,11 @@ class OmissionAdversary final : public Adversary {
 
   OmissionAttackOptions opts_;
   Xoshiro256 rng_;
-  /// Predicted N^{r-1} per receiver (full information: the adversary replays
+  /// Predicted N^{r-1} per receiver (full information: the adversary counts
   /// the deliveries it allowed, omissions included).
   std::vector<std::uint32_t> last_count_;
-  /// Replay buffers, reused every round.
+  /// This round's receivers, reused every round.
   DynBitset receivers_;
-  std::vector<Receipt> receipts_;
   std::uint32_t omissions_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros
 };

@@ -21,12 +21,15 @@
 // Reuse: every buffer a run needs — the EventList, the message arena, the
 // held pool, the outbox buffers, the per-process coins, views and crash
 // flags, and the auditor — lives in an AsyncWorkspace, which the engine
-// resets in place at the start of each run. A worker that keeps one
-// workspace across its repetitions allocates, once the buffers have grown,
-// little beyond what the protocol processes, the scheduler and the delay
-// model allocate themselves. The loop's termination test reads a count of the
-// live processes whose view is undecided, kept current wherever a view
-// changes or a process crashes, instead of asking every process.
+// resets in place at the start of each run. The batch executor keeps one
+// workspace per thread across batches (exec/executor.hpp, rule 2), so a
+// thread's repetitions allocate, once the buffers have grown, little beyond
+// what the protocol processes, the scheduler and the delay model allocate
+// themselves. Async processes are still made fresh by every run: a run
+// builds only n of them, against an event loop's thousands of steps. The
+// loop's termination test reads a count of the live processes whose view is
+// undecided, kept current wherever a view changes or a process crashes,
+// instead of asking every process.
 #pragma once
 
 #include <cstdint>

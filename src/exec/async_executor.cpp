@@ -14,8 +14,9 @@ AsyncRunStats AsyncBatchExecutor::run(const AsyncProcessFactory& factory,
                                       const AsyncRepeatSpec& spec) const {
   SYNRAN_REQUIRE(static_cast<bool>(schedulers), "need a scheduler factory");
   return detail::run_batch<AsyncRunStats>(spec, options_.threads, [&] {
-    // One workspace per worker: its reps reuse one set of engine buffers.
-    return [&, ws = std::make_unique<AsyncWorkspace>()](
+    // The worker's kept workspace: its reps, and the thread's later
+    // batches, reuse one set of engine buffers.
+    return [&, ws = detail::KeptWorkspace<AsyncWorkspace>()](
                std::size_t rep, obs::EngineObserver* observer) {
       Xoshiro256 input_rng = input_rng_for_rep(spec.seed, rep);
       const std::vector<Bit> inputs =

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -35,8 +34,9 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
                                     const AdversaryFactory& adversaries,
                                     const RepeatSpec& spec) const {
   return detail::run_batch<RepeatedRunStats>(spec, options_.threads, [&] {
-    // One workspace per worker: its reps reuse one set of buffers.
-    return [&, ws = std::make_unique<EngineWorkspace>()](
+    // The worker's kept workspace: its reps, and the thread's later
+    // batches, reuse one set of buffers and processes.
+    return [&, ws = detail::KeptWorkspace<EngineWorkspace>()](
                std::size_t rep, obs::EngineObserver* observer) {
       Xoshiro256 input_rng = input_rng_for_rep(spec.seed, rep);
       make_inputs(ws->inputs(), spec.n, spec.pattern, input_rng);

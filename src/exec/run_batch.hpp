@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -54,6 +55,37 @@ class FirstFailure {
  private:
   static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::atomic<std::size_t> rep_{kNone};
+};
+
+/// The calling thread's kept workspace of type `Workspace`, on loan to one
+/// rep body. Each thread holds one slot per workspace type: a body borrows
+/// the slot's workspace when it is built (or builds one when the slot is
+/// empty) and hands it back when it is destroyed, at the end of its batch.
+/// So consecutive batches on one thread reuse one workspace, a batch nested
+/// inside another's rep finds the slot empty and builds its own, and a
+/// parallel worker's slot dies with its thread. The engines reset a
+/// workspace at the start of every run, so what a rep computes never
+/// depends on what its workspace ran before.
+template <typename Workspace>
+class KeptWorkspace {
+ public:
+  KeptWorkspace() : ws_(std::move(slot())) {
+    if (ws_ == nullptr) ws_ = std::make_unique<Workspace>();
+  }
+  KeptWorkspace(const KeptWorkspace&) = delete;
+  KeptWorkspace& operator=(const KeptWorkspace&) = delete;
+  ~KeptWorkspace() { slot() = std::move(ws_); }
+
+  Workspace& operator*() const { return *ws_; }
+  Workspace* operator->() const { return ws_.get(); }
+
+ private:
+  static std::unique_ptr<Workspace>& slot() {
+    thread_local std::unique_ptr<Workspace> kept;
+    return kept;
+  }
+
+  std::unique_ptr<Workspace> ws_;
 };
 
 /// One repetition's terminal state: its result, or the failure that
@@ -112,7 +144,7 @@ RepOutcome<Result> attempt_rep(RunRep& run_rep, std::uint32_t attempts,
 /// returns that worker's rep body, `body(rep, observer) -> result`: the one
 /// definition of what repetition `rep` is, so serial and parallel batches
 /// compute identical results. A body may keep per-worker state (the
-/// executors' EngineWorkspace and AsyncWorkspace), but everything a rep
+/// executors borrow their thread's KeptWorkspace), but everything a rep
 /// computes must derive from (spec.seed, rep). `threads` is the executor's
 /// own option; a non-zero spec.threads overrides it.
 template <typename Stats, typename Spec, typename MakeRep>

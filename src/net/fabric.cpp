@@ -125,28 +125,39 @@ void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
   });
 }
 
+/// Calls `f(mask, first, last)` for each crash group: a run
+/// [first, last) of consecutive directives with equal masks (an adversary
+/// hiding a whole camp from one receiver set). Directives that share one
+/// mask handle compare equal in O(1); only distinct handles compare words.
+template <typename F>
+void for_each_crash_group(const std::vector<CrashDirective>& crashes, F&& f) {
+  for (std::size_t g = 0; g < crashes.size();) {
+    const std::size_t first = g;
+    const SharedMask& mask = crashes[g].deliver_to;
+    do {
+      ++g;
+    } while (g < crashes.size() && crashes[g].deliver_to == mask);
+    f(mask, first, g);
+  }
+}
+
 /// Adds each crash victim's payload to the receivers its deliver_to still
-/// reaches. A run of consecutive directives with equal masks (an adversary
-/// hiding a whole camp from one receiver set) is folded into one group
-/// receipt first and added once per receiver in the mask, which by `merge`
-/// equals adding the members one by one. Directives that share one mask
-/// handle compare equal in O(1); only distinct handles compare words. Cost
-/// O(Σ over groups |mask| + directives) for shared masks, plus n/64 words
-/// per comparison of distinct handles.
+/// reaches. Each crash group is folded into one group receipt first and
+/// added once per receiver in the mask, which by `merge` equals adding the
+/// members one by one. Cost O(Σ over groups |mask| + directives) for shared
+/// masks, plus n/64 words per comparison of distinct handles.
 void apply_crash_groups(const RoundTraffic& traffic, const DynBitset& receivers,
                         std::span<Receipt> out) {
   const auto& crashes = traffic.plan->crashes;
-  for (std::size_t g = 0; g < crashes.size();) {
-    const SharedMask& mask = crashes[g].deliver_to;
+  for_each_crash_group(crashes, [&](const SharedMask& mask, std::size_t first,
+                                    std::size_t last) {
     Receipt group{};
-    do {
-      accumulate(group, *traffic.payloads[crashes[g].victim]);
-      ++g;
-    } while (g < crashes.size() && crashes[g].deliver_to == mask);
+    for (std::size_t k = first; k < last; ++k)
+      accumulate(group, *traffic.payloads[crashes[k].victim]);
     mask.for_each_set([&](std::size_t i) {
       if (receivers.test(i)) merge(out[i], group);
     });
-  }
+  });
 }
 
 /// The plan's crash victims, or ArgumentError naming its first violation.
@@ -290,6 +301,38 @@ void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
   if (!traffic.plan->omissions.empty() || !traffic.plan->corruptions.empty())
     apply_link_faults(n, traffic, receivers, victims, full, out);
   apply_crash_groups(traffic, receivers, out);
+}
+
+void count_into(std::uint32_t n, const RoundTraffic& traffic,
+                const DynBitset& receivers, std::span<std::uint32_t> counts) {
+  checked_victims(n, traffic);
+  SYNRAN_REQUIRE(receivers.size() == n, "receivers mask has wrong size");
+  SYNRAN_REQUIRE(counts.size() == n, "count span has wrong size");
+
+  // check_plan left every crash victim a distinct sender, so the senders
+  // that deliver everywhere are all the senders but the victims.
+  std::uint32_t full = 0;
+  for_each_candidate(n, traffic, [&](std::size_t i) {
+    full += static_cast<std::uint32_t>(traffic.payloads[i].has_value());
+  });
+  if (traffic.plan != nullptr)
+    full -= static_cast<std::uint32_t>(traffic.plan->crashes.size());
+  receivers.for_each_set([&](std::size_t i) { counts[i] = full; });
+  if (traffic.plan == nullptr) return;
+
+  for (const auto& o : traffic.plan->omissions) {
+    o.drop_for.for_each_set([&](std::size_t r) {
+      if (receivers.test(r)) --counts[r];
+    });
+  }
+  for_each_crash_group(traffic.plan->crashes, [&](const SharedMask& mask,
+                                                  std::size_t first,
+                                                  std::size_t last) {
+    const auto group = static_cast<std::uint32_t>(last - first);
+    mask.for_each_set([&](std::size_t r) {
+      if (receivers.test(r)) counts[r] += group;
+    });
+  });
 }
 
 std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,

@@ -75,6 +75,19 @@ void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
                           const DynBitset& victims,
                           const DynBitset& receivers, std::span<Receipt> out);
 
+/// Writes only what `deliver_into` would write into each receiver's
+/// `Receipt::count`: into `counts[i]` for every process i in `receivers`,
+/// leaving the other slots untouched. `counts` must hold `n` entries. Runs
+/// `check_plan` first and throws its violation as ArgumentError, exactly
+/// as `deliver_into` does. A count is the non-victim senders (walked over
+/// `traffic.live` when given), minus the receiver's omitted links, plus
+/// the size of each crash group whose mask holds the receiver, so it costs
+/// O(L + Σ over groups |mask| + Σ|omitted links| + directives) with no
+/// receipt arithmetic: how an adversary that only needs each receiver's
+/// N^{r-1} follows the deliveries it allowed.
+void count_into(std::uint32_t n, const RoundTraffic& traffic,
+                const DynBitset& receivers, std::span<std::uint32_t> counts);
+
 /// `deliver_into` a fresh vector: receipts for non-receiver indices are
 /// value-initialized.
 std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,

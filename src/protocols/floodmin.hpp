@@ -71,6 +71,12 @@ class FloodMinFactory final : public ProcessFactory {
                                 Bit input) const override {
     return std::make_unique<FloodMinProcess>(id, n, input, opts_);
   }
+  bool remake(Process& process, ProcessId id, std::uint32_t n,
+              Bit input) const override {
+    return remake_as<FloodMinProcess>(process, [&](const FloodMinProcess&) {
+      return FloodMinProcess(id, n, input, opts_);
+    });
+  }
   const char* name() const override {
     return opts_.early_deciding ? "floodmin-early" : "floodmin";
   }

@@ -85,6 +85,13 @@ class KFloodMinFactory final : public ProcessFactory {
     return std::make_unique<KFloodMinProcess>(
         id, n, static_cast<KValue>(to_int(input)), opts_);
   }
+  bool remake(Process& process, ProcessId id, std::uint32_t n,
+              Bit input) const override {
+    return remake_as<KFloodMinProcess>(process, [&](const KFloodMinProcess&) {
+      return KFloodMinProcess(id, n, static_cast<KValue>(to_int(input)),
+                              opts_);
+    });
+  }
   std::unique_ptr<KFloodMinProcess> make_k(ProcessId id, std::uint32_t n,
                                            KValue input) const {
     return std::make_unique<KFloodMinProcess>(id, n, input, opts_);

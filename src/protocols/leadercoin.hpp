@@ -77,6 +77,12 @@ class LeaderCoinFactory final : public ProcessFactory {
                                 Bit input) const override {
     return std::make_unique<LeaderCoinProcess>(id, n, input);
   }
+  bool remake(Process& process, ProcessId id, std::uint32_t n,
+              Bit input) const override {
+    return remake_as<LeaderCoinProcess>(process, [&](const LeaderCoinProcess&) {
+      return LeaderCoinProcess(id, n, input);
+    });
+  }
   const char* name() const override { return "leadercoin"; }
 };
 

@@ -9,11 +9,17 @@ namespace synran {
 
 SynRanProcess::SynRanProcess(ProcessId id, std::uint32_t n, Bit input,
                              SynRanOptions opts)
+    : SynRanProcess(id, n, input, opts, nullptr) {}
+
+SynRanProcess::SynRanProcess(ProcessId id, std::uint32_t n, Bit input,
+                             SynRanOptions opts, const SynRanProcess* kept)
     : opts_(opts), n_(n), id_(id), b_(input) {
   SYNRAN_REQUIRE(n >= 1, "SynRan needs at least one process");
   SYNRAN_REQUIRE(opts.margins_valid(),
                  "threshold numerators must satisfy d1 > p1 >= p0 > d0");
-  det_threshold_ = theory::deterministic_stage_threshold(n);
+  det_threshold_ = kept != nullptr && kept->n_ == n
+                       ? kept->det_threshold_
+                       : theory::deterministic_stage_threshold(n);
   det_rounds_ = static_cast<std::uint32_t>(std::ceil(det_threshold_)) +
                 opts_.det_margin;
 }

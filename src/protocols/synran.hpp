@@ -76,6 +76,13 @@ class SynRanProcess final : public Process {
   bool in_deterministic_stage() const { return mode_ != Mode::Probabilistic; }
 
  private:
+  friend class SynRanFactory;
+  /// As the public constructor, but takes the hand-off threshold from
+  /// `kept` when it was built for the same n (the value is a pure function
+  /// of n, so only its recomputation is saved).
+  SynRanProcess(ProcessId id, std::uint32_t n, Bit input, SynRanOptions opts,
+                const SynRanProcess* kept);
+
   enum class Mode : std::uint8_t {
     Probabilistic,  ///< the randomized stage of §4
     DetSync,        ///< hand-off round: broadcast b_i once more
@@ -117,6 +124,12 @@ class SynRanFactory final : public ProcessFactory {
   std::unique_ptr<Process> make(ProcessId id, std::uint32_t n,
                                 Bit input) const override {
     return std::make_unique<SynRanProcess>(id, n, input, opts_);
+  }
+  bool remake(Process& process, ProcessId id, std::uint32_t n,
+              Bit input) const override {
+    return remake_as<SynRanProcess>(process, [&](const SynRanProcess& kept) {
+      return SynRanProcess(id, n, input, opts_, &kept);
+    });
   }
   const char* name() const override {
     if (opts_.coin_rule == CoinRule::Symmetric) return "benor-sym";

@@ -4,6 +4,8 @@
 #include <iterator>
 #include <limits>
 #include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "adversary/basic.hpp"
@@ -339,16 +341,20 @@ ArgvSource::ArgvSource(int argc, const char* const* argv, int first,
       throw ConfigError("expected --key value pairs, got '" +
                         std::string(arg) + "'");
     }
-    const std::string_view key = arg.substr(2);
+    std::string_view key = arg.substr(2);
+    std::string value;
     if (const auto eq = key.find('='); eq != std::string_view::npos) {
-      flags_[std::string(key.substr(0, eq))] = key.substr(eq + 1);
+      value = key.substr(eq + 1);
+      key = key.substr(0, eq);
     } else if (switches.count(key) != 0) {
-      flags_[std::string(key)] = "1";
+      value = "1";
     } else if (i + 1 >= argc) {
       throw ConfigError("missing value for '--" + std::string(key) + "'");
     } else {
-      flags_[std::string(key)] = argv[++i];
+      value = argv[++i];
     }
+    if (!flags_.emplace(key, std::move(value)).second)
+      throw ConfigError("--" + std::string(key) + " given twice");
   }
 }
 
@@ -374,6 +380,16 @@ void ArgvSource::reject_unknown(
     bool found = false;
     for (std::string_view key : known) found = found || flag_of(key) == flag;
     if (!found) throw ConfigError("unknown flag '--" + flag + "'");
+  }
+}
+
+JsonSource::JsonSource(const obs::JsonValue& object) : object_(object) {
+  if (!object_.is_object()) return;
+  // One pass: a request may carry as many keys as its frame holds.
+  std::unordered_set<std::string_view> seen;
+  for (const auto& member : object_.as_object()) {
+    if (!seen.insert(member.first).second)
+      throw ConfigError(name(member.first) + " given twice");
   }
 }
 

@@ -63,7 +63,8 @@ class ConfigSource {
 class ArgvSource final : public ConfigSource {
  public:
   /// Reads argv[first, argc). Flags in `switches` take no value and read
-  /// back as "1".
+  /// back as "1". Throws ConfigError when a flag is given twice, in either
+  /// spelling.
   ArgvSource(int argc, const char* const* argv, int first,
              const std::set<std::string, std::less<>>& switches = {});
 
@@ -80,7 +81,8 @@ class ArgvSource final : public ConfigSource {
 /// The members of a JSON object, which must outlive the source.
 class JsonSource final : public ConfigSource {
  public:
-  explicit JsonSource(const obs::JsonValue& object) : object_(object) {}
+  /// Throws ConfigError when `object` holds a key twice.
+  explicit JsonSource(const obs::JsonValue& object);
 
   bool has(std::string_view key) const override;
   std::string name(std::string_view key) const override;

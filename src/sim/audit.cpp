@@ -23,8 +23,11 @@ void RunAuditor::begin(std::uint32_t n, std::uint32_t t_budget,
   byzantine_budget_ = byzantine_budget;
   byzantine_round_cap_ = byzantine_round_cap;
   cum_corruptions_ = 0;
-  crashed_ = DynBitset(n);
-  victims_ = DynBitset(n);
+  // A kept auditor clears its buffers in place; only a new n reallocates.
+  for (DynBitset* set : {&crashed_, &victims_}) {
+    if (set->size() != n) *set = DynBitset(n);
+    set->clear_all();
+  }
   crash_round_.assign(n, 0);
   was_decided_.assign(n, false);
   decision_was_.assign(n, Bit::Zero);

@@ -62,8 +62,9 @@ namespace synran {
 /// begin → (on_phase_a → on_plan → on_deliveries)* per round.
 class RunAuditor {
  public:
-  /// Resets all state for a fresh execution. Omissions and corruptions
-  /// default to forbidden (budget 0), matching the paper's fail-stop model.
+  /// Resets all state for a fresh execution, clearing its buffers in place
+  /// when n is unchanged. Omissions and corruptions default to forbidden
+  /// (budget 0), matching the paper's fail-stop model.
   void begin(std::uint32_t n, std::uint32_t t_budget,
              std::uint32_t per_round_cap, std::uint32_t omission_budget = 0,
              std::uint32_t omission_round_cap = 0,

@@ -62,7 +62,8 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
   auto& procs = ws_.procs_;
   auto& coins = ws_.coins_;
   for (std::uint32_t i = 0; i < n; ++i) {
-    procs[i] = factory.make(i, n, inputs[i]);
+    if (procs[i] == nullptr || !factory.remake(*procs[i], i, n, inputs[i]))
+      procs[i] = factory.make(i, n, inputs[i]);
     coins[i].reseed(seeds.stream(i));
   }
 
@@ -78,7 +79,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
 
   // Always-on model audit (§3.1): cheap per-round predicates that validate
   // the adversary's spend and the engine's own delivery accounting.
-  RunAuditor auditor;
+  RunAuditor& auditor = ws_.auditor_;
   auditor.begin(n, options.t_budget, options.per_round_cap,
                 options.omission_budget, options.omission_round_cap,
                 options.byzantine_budget, options.byzantine_round_cap);

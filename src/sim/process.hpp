@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <typeinfo>
+#include <utility>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -68,8 +70,29 @@ class ProcessFactory {
   /// `input` is x_i. `n` is the system size.
   virtual std::unique_ptr<Process> make(ProcessId id, std::uint32_t n,
                                         Bit input) const = 0;
+  /// Rebuilds `process`, kept from an earlier run, in place into exactly
+  /// what make(id, n, input) returns, and returns true. Returns false and
+  /// leaves `process` untouched when it cannot, so the caller falls back to
+  /// make(): the default, and the answer for a process of another type.
+  virtual bool remake(Process& /*process*/, ProcessId /*id*/,
+                      std::uint32_t /*n*/, Bit /*input*/) const {
+    return false;
+  }
   /// Human-readable protocol name for reports.
   virtual const char* name() const = 0;
 };
+
+/// The one body of every ProcessFactory::remake override: when `process`
+/// is exactly a `P`, assigns it `build(kept)`, a freshly constructed `P`
+/// (so a rebuilt process is what make() returns), and returns true. `build`
+/// sees the kept value only to carry over what its constructor would
+/// recompute identically.
+template <typename P, typename Build>
+bool remake_as(Process& process, Build&& build) {
+  if (typeid(process) != typeid(P)) return false;
+  P& kept = static_cast<P&>(process);
+  kept = std::forward<Build>(build)(std::as_const(kept));
+  return true;
+}
 
 }  // namespace synran

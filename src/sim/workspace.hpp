@@ -1,12 +1,16 @@
-// Reusable per-worker execution state for the synchronous engine.
+// Reusable per-thread execution state for the synchronous engine.
 //
 // Every repeated-run experiment used to pay one full set of heap
 // allocations per repetition: payload/receipt/status vectors inside
-// Engine::run plus the per-process coin sources. An EngineWorkspace owns all
-// of those buffers once; the engine resets them in place at the start of
-// each run, so a worker executing thousands of repetitions allocates only
-// what the protocol processes themselves need. One workspace serves one
-// thread — workspaces are never shared concurrently.
+// Engine::run, the auditor's bitsets, the per-process coin sources and the
+// n processes themselves. An EngineWorkspace owns all of them once; the
+// engine resets the buffers in place at the start of each run and rebuilds
+// each kept process in place through ProcessFactory::remake (make() fills
+// only an empty slot or one the factory cannot rebuild), so a run allocates
+// only what its adversary and protocol allocate while running. The batch
+// executors keep one workspace per thread across batches (exec/executor.hpp,
+// rule 2). One workspace serves one thread — workspaces are never shared
+// concurrently.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "net/types.hpp"
+#include "sim/audit.hpp"
 #include "sim/process.hpp"
 
 namespace synran {
@@ -70,16 +75,18 @@ class EngineWorkspace {
   friend class Engine;
 
   /// Sizes every buffer for system size `n` (first use or n change) or
-  /// clears them in place (steady state; no allocation).
+  /// clears them in place (steady state; no allocation). Kept processes
+  /// stay in their slots for the engine to rebuild; `alive_` is sized last,
+  /// so a resize cut short by an exception is redone by the next run.
   void prepare(std::uint32_t n) {
     if (alive_.size() != n) {
-      alive_ = DynBitset(n, true);
       halted_ = DynBitset(n, false);
       payloads_.assign(n, std::nullopt);
       receipts_.assign(n, Receipt{});
       have_receipt_.assign(n, 0);
       procs_.resize(n);
       coins_.assign(n, RandomCoinSource(0));
+      alive_ = DynBitset(n, true);
     } else {
       alive_.set_all();
       halted_.clear_all();
@@ -90,7 +97,11 @@ class EngineWorkspace {
   }
 
   std::vector<Bit> inputs_;
+  /// The last run's processes, rebuilt in place by the next run. They
+  /// outlive their batch and the factory that made them (until a later run
+  /// replaces them or the workspace dies), so a Process owns what it uses.
   std::vector<std::unique_ptr<Process>> procs_;
+  RunAuditor auditor_;
   std::vector<RandomCoinSource> coins_;
   DynBitset alive_;
   DynBitset halted_;

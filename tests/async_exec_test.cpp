@@ -4,7 +4,8 @@
 // count, retries, stop handling and argument checks through the executor,
 // structured scheduler-violation errors, fault-timetable injection,
 // partial synchrony, retransmission recovery, workspace reuse (runs on one
-// AsyncWorkspace, also after a run that threw, equal runs on fresh ones),
+// AsyncWorkspace, also after a run that threw, equal runs on fresh ones, and
+// the workspace a thread keeps across its batches),
 // and golden-pinned decision stats for the fixed-delay, adversary-held,
 // laggard-with-crashes and beyond-window GST configurations.
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "async/benor.hpp"
@@ -24,6 +27,7 @@
 #include "common/rng.hpp"
 #include "exec/async_executor.hpp"
 #include "exec/stopper.hpp"
+#include "obs/trace_binary.hpp"
 #include "obs/trace_writer.hpp"
 #include "runner/experiment.hpp"
 
@@ -679,6 +683,84 @@ TEST(AsyncExecWorkspace, RunAfterAThrowMatchesAFreshWorkspace) {
       EXPECT_EQ(reused.result, fresh.result);
       EXPECT_EQ(reused.trace, fresh.trace);
     }
+  }
+}
+
+// ---------------------------------------- kept across batches
+
+/// One batch of the kept-workspace sequence: perfbench's three async
+/// regimes at two sizes, traced or not, and one fail-fast batch whose
+/// rep 2 throws mid-run.
+struct KeptAsyncBatch {
+  std::string label;
+  const AsyncProcessFactory* protocol;
+  AsyncSchedulerFactory schedulers;
+  AsyncDelayFactory delays;
+  AsyncRepeatSpec spec;
+  bool traced = false;
+};
+
+std::pair<std::string, std::string> run_kept(const KeptAsyncBatch& batch,
+                                             unsigned threads) {
+  AsyncRepeatSpec spec = batch.spec;
+  spec.threads = threads;
+  std::ostringstream trace;
+  std::optional<obs::BinaryTraceWriter> writer;
+  if (batch.traced) spec.engine.observer = &writer.emplace(trace);
+  std::string stats;
+  try {
+    stats = run_repeated_async(*batch.protocol, batch.schedulers,
+                               batch.delays, spec)
+                .checkpoint_json()
+                .dump();
+  } catch (const RepError& e) {
+    stats = std::string("RepError: ") + e.what();
+  }
+  if (writer) writer->close();
+  return {stats, trace.str()};
+}
+
+TEST(AsyncExecKeptWorkspace, BatchesOnOneThreadMatchFreshWorkersAndReruns) {
+  const BenOrAsyncFactory plain;
+  const BenOrAsyncFactory retransmit(BenOrOptions{16});
+  const auto spec = [](std::uint32_t n, std::uint32_t t, std::uint64_t seed) {
+    AsyncRepeatSpec s;
+    s.n = n;
+    s.pattern = InputPattern::Half;
+    s.reps = 3;
+    s.seed = seed;
+    s.engine.t_budget = t;
+    return s;
+  };
+  const std::uint64_t bad = adversary_seed_for_rep(55, 2);
+  const AsyncSchedulerFactory throws_at_rep_2 =
+      [bad](std::uint64_t seed) -> std::unique_ptr<AsyncScheduler> {
+    if (seed == bad) return std::make_unique<DuplicateDropAfter>(40);
+    return random_scheduler_factory()(seed);
+  };
+  const std::vector<KeptAsyncBatch> sequence = {
+      {"laggard/held n64", &plain, laggard_scheduler_factory(),
+       held_delay_factory(), spec(64, 8, 51), true},
+      {"random/uniform n9", &plain, random_scheduler_factory(),
+       uniform_delay_factory(1, 10), spec(9, 2, 52), false},
+      {"stall/gst/retransmit n64", &retransmit, stall_scheduler_factory(),
+       gst_delay_factory(50, 8), spec(64, 8, 53), true},
+      {"random/gst throws at rep 2 n16", &retransmit, throws_at_rep_2,
+       gst_delay_factory(50, 8), spec(16, 3, 55), false},
+      {"random/uniform n64", &plain, random_scheduler_factory(),
+       uniform_delay_factory(1, 10), spec(64, 8, 54), true},
+      {"laggard/held n9", &plain, laggard_scheduler_factory(),
+       held_delay_factory(), spec(9, 2, 56), false},
+  };
+  std::vector<std::pair<std::string, std::string>> first;
+  for (const KeptAsyncBatch& batch : sequence) {
+    first.push_back(run_kept(batch, 1));
+    EXPECT_EQ(first.back(), run_kept(batch, 3)) << batch.label;
+  }
+  EXPECT_NE(first[3].first.find("RepError: "), std::string::npos)
+      << first[3].first;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    EXPECT_EQ(run_kept(sequence[i], 1), first[i]) << sequence[i].label;
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the deterministic batch executor: serial/parallel equivalence,
-// the synran-seed/2 per-rep streams (golden-pinned), workspace reuse, the
+// the synran-seed/2 per-rep streams (golden-pinned), workspace reuse within
+// a batch and across the batches of one thread, the
 // thread-count-invariant observer stream (buffered + rep-order replay),
 // deterministic error propagation, the quarantine/retry failure domains,
 // and cooperative stop handling.
@@ -8,6 +9,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -15,13 +17,19 @@
 #include <vector>
 
 #include "adversary/basic.hpp"
+#include "adversary/byzantine.hpp"
 #include "adversary/coinbias.hpp"
+#include "adversary/omission.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "exec/executor.hpp"
 #include "exec/stopper.hpp"
 #include "obs/observer.hpp"
+#include "obs/trace_binary.hpp"
 #include "obs/trace_writer.hpp"
+#include "protocols/floodmin.hpp"
+#include "protocols/kfloodmin.hpp"
+#include "protocols/leadercoin.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
 
@@ -729,6 +737,204 @@ TEST(ExecWorkspace, FullResultPathAgreesWithSummary) {
   for (std::uint32_t c : full.crashes_per_round) crash_sum += c;
   EXPECT_EQ(crash_sum, with_full.faults.crashes);
   EXPECT_EQ(validity_holds(inputs, full), with_full.validity);
+}
+
+// ------------------------------------------------ kept workspaces
+
+/// Throws from plan_round in round 3 of the rep whose adversary seed is
+/// `bad`, leaving that rep's workspace mid-run; otherwise plays CoinBias.
+class ThrowsInRound3 final : public Adversary {
+ public:
+  ThrowsInRound3(std::uint64_t seed, bool bad)
+      : inner_(CoinBiasOptions{0.55, true, seed}), bad_(bad) {}
+  void begin(std::uint32_t n, std::uint32_t t) override { inner_.begin(n, t); }
+  FaultPlan plan_round(const WorldView& world) override {
+    if (bad_ && world.round() == 3) throw std::runtime_error("round 3");
+    return inner_.plan_round(world);
+  }
+  const char* name() const override { return "throws-in-round-3"; }
+
+ private:
+  CoinBiasAdversary inner_;
+  bool bad_;
+};
+
+/// One batch of the kept-workspace sequence.
+struct KeptBatch {
+  std::string label;
+  std::shared_ptr<const ProcessFactory> protocol;
+  AdversaryFactory adversaries;
+  RepeatSpec spec;
+  bool traced = false;
+};
+
+/// What a batch leaves behind: its stats snapshot (or the error that ended
+/// it) and its trace/2 bytes.
+struct KeptOutput {
+  std::string stats;
+  std::string trace;
+  friend bool operator==(const KeptOutput&, const KeptOutput&) = default;
+};
+
+KeptOutput run_kept(const KeptBatch& batch, unsigned threads) {
+  RepeatSpec spec = batch.spec;
+  spec.threads = threads;
+  std::ostringstream trace;
+  std::optional<obs::BinaryTraceWriter> writer;
+  if (batch.traced) spec.engine.observer = &writer.emplace(trace);
+  KeptOutput out;
+  try {
+    out.stats =
+        run_repeated(*batch.protocol, batch.adversaries, spec)
+            .checkpoint_json()
+            .dump();
+  } catch (const RepError& e) {
+    out.stats = std::string("RepError: ") + e.what();
+  }
+  if (writer) writer->close();
+  out.trace = trace.str();
+  return out;
+}
+
+std::vector<KeptBatch> kept_sequence() {
+  const AdversaryFactory coinbias = [](std::uint64_t seed) {
+    return std::unique_ptr<Adversary>(
+        new CoinBiasAdversary(CoinBiasOptions{0.55, true, seed}));
+  };
+  const AdversaryFactory chaos_over_coinbias = [](std::uint64_t seed) {
+    ChaosOptions o;
+    o.drop_rate = 0.15;
+    o.seed = seed;
+    return std::unique_ptr<Adversary>(new ChaosAdversary(
+        o, std::make_unique<CoinBiasAdversary>(
+               CoinBiasOptions{0.55, true, seed ^ 0x55})));
+  };
+  const AdversaryFactory byzantine = [](std::uint64_t seed) {
+    ByzantineOptions o;
+    o.corrupt_rate = 0.2;
+    o.seed = seed;
+    return std::unique_ptr<Adversary>(new ByzantineAdversary(o));
+  };
+  const AdversaryFactory omission = [](std::uint64_t seed) {
+    return std::unique_ptr<Adversary>(
+        new OmissionAdversary(OmissionAttackOptions{0.55, seed}));
+  };
+  SynRanOptions symmetric;
+  symmetric.coin_rule = CoinRule::Symmetric;
+  SynRanOptions no_handoff;
+  no_handoff.det_handoff = false;
+  SynRanOptions symmetric_no_handoff = symmetric;
+  symmetric_no_handoff.det_handoff = false;
+  const auto synran = std::make_shared<SynRanFactory>();
+  const auto benor_sym = std::make_shared<SynRanFactory>(symmetric);
+  const auto synran_nodet = std::make_shared<SynRanFactory>(no_handoff);
+  const auto benor_sym_nodet =
+      std::make_shared<SynRanFactory>(symmetric_no_handoff);
+  const auto floodmin =
+      std::make_shared<FloodMinFactory>(FloodMinOptions{4, false});
+  const auto hardened =
+      std::make_shared<KFloodMinFactory>(KFloodMinOptions{4, 2, 2});
+  const auto leadercoin = std::make_shared<LeaderCoinFactory>();
+
+  const auto spec = [](std::uint32_t n, std::uint32_t t, std::size_t reps,
+                       std::uint64_t seed) {
+    RepeatSpec s;
+    s.n = n;
+    s.pattern = InputPattern::Half;
+    s.reps = reps;
+    s.seed = seed;
+    s.engine.t_budget = t;
+    return s;
+  };
+  RepeatSpec omit = spec(64, 0, 5, 31);
+  omit.engine.omission_budget = 1000;
+  omit.engine.omission_round_cap = 2;
+  RepeatSpec chaos = spec(64, 20, 5, 32);
+  chaos.engine.omission_budget = 1000;
+  chaos.engine.omission_round_cap = 2;
+  RepeatSpec byz = spec(64, 0, 5, 33);
+  byz.engine.byzantine_budget = 1000;
+  byz.engine.byzantine_round_cap = 2;
+  RepeatSpec throws = spec(64, 40, 6, 34);
+  const std::uint64_t bad = adversary_seed_for_rep(throws.seed, 3);
+  const AdversaryFactory throws_at_rep_3 = [bad](std::uint64_t seed) {
+    return std::unique_ptr<Adversary>(new ThrowsInRound3(seed, seed == bad));
+  };
+
+  // n moves 5 -> 64 -> 4096 -> 5, and each protocol follows another's.
+  return {
+      {"synran n5 coinbias", synran, coinbias, spec(5, 2, 6, 21), true},
+      {"benor-sym n64 coinbias", benor_sym, coinbias, spec(64, 40, 5, 22),
+       false},
+      {"synran-nodet n64 chaos/coinbias", synran_nodet, chaos_over_coinbias,
+       chaos, true},
+      {"benor-sym-nodet n64 coinbias", benor_sym_nodet, coinbias,
+       spec(64, 40, 5, 26), false},
+      {"floodmin n64 byzantine", floodmin, byzantine, byz, false},
+      {"hardened n64 byzantine", hardened, byzantine, byz, true},
+      {"leadercoin n64 omission", leadercoin, omission, omit, false},
+      {"synran n64 throws at rep 3", synran, throws_at_rep_3, throws, false},
+      {"synran n64 omission", synran, omission, omit, true},
+      {"synran n4096 coinbias", synran, coinbias, spec(4096, 4095, 2, 23),
+       true},
+      {"leadercoin n4096 coinbias", leadercoin, coinbias,
+       spec(4096, 4095, 1, 24), false},
+      {"floodmin n5 coinbias", floodmin, coinbias, spec(5, 2, 6, 25), true},
+      {"synran n5 coinbias untraced", synran, coinbias, spec(5, 2, 6, 21),
+       false},
+  };
+}
+
+TEST(ExecKeptWorkspace, BatchesOnOneThreadMatchFreshWorkersAndTheirReruns) {
+  // The calling thread keeps one workspace across these batches (and its
+  // processes, rebuilt in place by the next batch's factory). Each batch
+  // must equal the same batch on 3 new workers, whose slots start empty,
+  // and the same batch rerun after all the others.
+  const std::vector<KeptBatch> sequence = kept_sequence();
+  std::vector<KeptOutput> first;
+  for (const KeptBatch& batch : sequence) {
+    first.push_back(run_kept(batch, 1));
+    EXPECT_EQ(first.back(), run_kept(batch, 3)) << batch.label;
+    EXPECT_EQ(first.back().trace.empty(), !batch.traced) << batch.label;
+  }
+  EXPECT_NE(first[7].stats.find("RepError: "), std::string::npos)
+      << first[7].stats;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    EXPECT_EQ(run_kept(sequence[i], 1), first[i]) << sequence[i].label;
+  }
+}
+
+TEST(ExecKeptWorkspace, ANestedBatchBuildsItsOwnWorkspace) {
+  // A batch run from inside another batch's rep finds the thread's slot on
+  // loan and builds its own; the outer batch's workspace is not disturbed.
+  SynRanFactory protocol;
+  RepeatSpec inner = base_spec(InputPattern::Random, 71);
+  inner.n = 16;
+  inner.threads = 1;
+  const std::string alone =
+      run_repeated(protocol, no_adversary_factory(), inner)
+          .checkpoint_json()
+          .dump();
+  std::vector<std::string> nested;
+  const AdversaryFactory nesting = [&](std::uint64_t seed) {
+    nested.push_back(run_repeated(protocol, no_adversary_factory(), inner)
+                         .checkpoint_json()
+                         .dump());
+    return std::unique_ptr<Adversary>(
+        new CoinBiasAdversary(CoinBiasOptions{0.55, true, seed}));
+  };
+  RepeatSpec outer = base_spec(InputPattern::Half, 72);
+  outer.threads = 1;
+  const AdversaryFactory coinbias = [](std::uint64_t seed) {
+    return std::unique_ptr<Adversary>(
+        new CoinBiasAdversary(CoinBiasOptions{0.55, true, seed}));
+  };
+  const std::string plain =
+      run_repeated(protocol, coinbias, outer).checkpoint_json().dump();
+  EXPECT_EQ(run_repeated(protocol, nesting, outer).checkpoint_json().dump(),
+            plain);
+  ASSERT_EQ(nested.size(), outer.reps);
+  for (const std::string& n : nested) EXPECT_EQ(n, alone);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <array>
 #include <iterator>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -175,6 +176,51 @@ TEST(FabricTest, DeliverIntoRejectsWrongSpanSize) {
   for (const auto& r : too_long) EXPECT_EQ(r, sentinel);
 }
 
+// count_into is one more input to every equivalence suite below: it writes
+// exactly the naive receipts' counts into the receivers' slots and leaves
+// every other slot alone, and a malformed plan makes it throw deliver_into's
+// ArgumentError.
+void expect_counts_match(std::uint32_t n, const RoundTraffic& traffic,
+                         const DynBitset& receivers,
+                         const std::vector<Receipt>& naive) {
+  constexpr std::uint32_t kUntouched = 0xdeadbeef;
+  std::vector<std::uint32_t> counts(n, kUntouched);
+  count_into(n, traffic, receivers, counts);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(counts[i], receivers.test(i) ? naive[i].count : kUntouched)
+        << "slot " << i << " n=" << n;
+  }
+
+  const FaultPlan plan = traffic.plan != nullptr ? *traffic.plan : FaultPlan{};
+  std::vector<FaultPlan> malformed(1, plan);
+  malformed[0].crashes.push_back({n, DynBitset(n)});  // not a process
+  if (!plan.crashes.empty()) {
+    malformed.push_back(plan);  // a victim crashed twice
+    malformed.back().crashes.push_back(plan.crashes.front());
+  }
+  if (!plan.omissions.empty()) {
+    malformed.push_back(plan);  // a drop set of the wrong size
+    malformed.back().omissions.front().drop_for = DynBitset(n + 1);
+  }
+  for (const FaultPlan& bad : malformed) {
+    const RoundTraffic bad_traffic{traffic.payloads, &bad, traffic.live};
+    std::vector<Receipt> receipts(n);
+    std::string delivered_error;
+    try {
+      deliver_into(n, bad_traffic, receivers, receipts);
+      ADD_FAILURE() << "deliver_into accepted a malformed plan, n=" << n;
+    } catch (const ArgumentError& e) {
+      delivered_error = e.what();
+    }
+    try {
+      count_into(n, bad_traffic, receivers, counts);
+      ADD_FAILURE() << "count_into accepted a malformed plan, n=" << n;
+    } catch (const ArgumentError& e) {
+      EXPECT_EQ(std::string(e.what()), delivered_error);
+    }
+  }
+}
+
 // Property: fast path == naive path on random traffic.
 class FabricEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -215,6 +261,7 @@ TEST_P(FabricEquivalence, FastMatchesNaive) {
   ASSERT_EQ(fast.size(), naive.size());
   for (std::uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
+  expect_counts_match(n, traffic, receivers, naive);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraffic, FabricEquivalence,
@@ -352,6 +399,7 @@ TEST_P(OmissionFabricEquivalence, FastMatchesNaive) {
   ASSERT_EQ(fast.size(), naive.size());
   for (std::uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
+  expect_counts_match(n, traffic, receivers, naive);
 }
 
 INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, OmissionFabricEquivalence,
@@ -534,6 +582,7 @@ TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
   ASSERT_EQ(fast.size(), naive.size());
   for (std::uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
+  expect_counts_match(n, traffic, receivers, naive);
 }
 
 INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, CorruptFabricEquivalence,
@@ -679,6 +728,7 @@ TEST_P(GroupedCrashFabricEquivalence, FastMatchesNaive) {
     EXPECT_EQ(into[i], c.receivers.test(i) ? naive[i] : sentinel)
         << "slot " << i << " n=" << n;
   }
+  expect_counts_match(n, traffic, c.receivers, naive);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -871,6 +921,7 @@ TEST_P(SharedMaskFabricEquivalence, LivePathMatchesNullPathAndNaive) {
     for (std::uint32_t i = 0; i < n; ++i)
       ASSERT_EQ(fast[i], naive[i]) << "n=" << n << " trial " << trial
                                    << " receiver " << i;
+    expect_counts_match(n, null_live, c.receivers, naive);
 
     Xoshiro256 rng(trial + 101);
     DynBitset extras = c.senders;
@@ -882,6 +933,7 @@ TEST_P(SharedMaskFabricEquivalence, LivePathMatchesNullPathAndNaive) {
     for (const DynBitset* live : lives) {
       const RoundTraffic with_live{c.payloads, &c.plan, live};
       EXPECT_EQ(deliver_naive(n, with_live, c.receivers), naive);
+      expect_counts_match(n, with_live, c.receivers, naive);
       const Receipt sentinel{7, 7, 7, 0x7777};
       std::vector<Receipt> into(n, sentinel);
       deliver_into(n, with_live, c.receivers, into);

@@ -280,6 +280,63 @@ TEST(RunConfig, JsonValuesOfTheWrongTypeAreRejected) {
   }
 }
 
+TEST(RunConfig, ArgvSourceRejectsAFlagGivenTwice) {
+  // Either spelling, equal values or not: the last value used to win.
+  const std::vector<std::vector<const char*>> cases = {
+      {"--n", "4", "--t", "1", "--n", "8"},
+      {"--n=4", "--t", "1", "--n", "8"},
+      {"--n", "4", "--n=8"},
+      {"--n=4", "--n=4"},
+  };
+  for (const auto& argv : cases) {
+    try {
+      ArgvSource(static_cast<int>(argv.size()), argv.data(), 0);
+      ADD_FAILURE() << "accepted " << argv.size() << " words";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), "--n given twice");
+    }
+  }
+  const char* const stdio[] = {"--stdio", "--stdio"};
+  EXPECT_THROW(ArgvSource(2, stdio, 0, {"stdio"}), ConfigError);
+}
+
+TEST(RunConfig, JsonSourceRejectsAKeyGivenTwice) {
+  // The first value used to win (JsonValue::find).
+  for (const char* body : {R"({"n":4,"t":1,"n":8})", R"({"n":4,"n":4})"}) {
+    const auto config = JsonValue::parse(body);
+    ASSERT_TRUE(config.has_value()) << body;
+    try {
+      JsonSource source(*config);
+      ADD_FAILURE() << "accepted " << body;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), "config.n given twice") << body;
+    }
+  }
+  {
+    // As many keys as a 1 MiB frame holds, the repeat last: found in one
+    // pass, not one comparison per pair of keys.
+    std::string body = "{";
+    for (int k = 0; k < 80000; ++k) body += "\"k" + std::to_string(k) + "\":0,";
+    body += "\"k79999\":1}";
+    const auto config = JsonValue::parse(body);
+    ASSERT_TRUE(config.has_value());
+    try {
+      JsonSource source(*config);
+      ADD_FAILURE() << "accepted a repeat after 80000 keys";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), "config.k79999 given twice");
+    }
+  }
+  try {
+    serve::parse_request(
+        R"({"schema":"synran-req/1","id":"d","cmd":"run",)"
+        R"("config":{"n":4,"t":1,"n":8,"reps":1}})");
+    ADD_FAILURE() << "a repeated config key was accepted";
+  } catch (const serve::BadRequest& e) {
+    EXPECT_EQ(std::string(e.what()), "config.n given twice");
+  }
+}
+
 // --------------------------------------------- the request reader, fuzzed
 
 const char* const kFuzzBodies[] = {

@@ -618,6 +618,29 @@ TEST(Server, NanFaultRatesAreBadRequests) {
   EXPECT_EQ(server.cache().entries(), 0u);
 }
 
+TEST(Server, ConfigKeyGivenTwiceIsABadRequest) {
+  const std::string dir = temp_dir("srv_twice");
+  Server server(test_options(dir + "/cache"));
+  // The JSON parser keeps both members; the config reader used to take the
+  // first and run n = 4.
+  const auto result = serve_over_files(
+      server, dir,
+      {R"({"schema":"synran-req/1","id":"twice","cmd":"run","config":)"
+       R"({"n":4,"t":1,"n":8,"reps":1,"adversary":"none"}})",
+       R"({"schema":"synran-req/1","id":"after","cmd":"ping"})"});
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.bodies.size(), 2u);
+  const JsonValue rejected = parse_json(result.bodies[0]);
+  EXPECT_FALSE(rejected.find("ok")->as_bool());
+  EXPECT_EQ(rejected.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_EQ(rejected.find("error")->find("message")->as_string(),
+            "config.n given twice");
+  const JsonValue ping = parse_json(result.bodies[1]);
+  EXPECT_EQ(ping.find("id")->as_string(), "after");
+  EXPECT_TRUE(ping.find("result")->find("pong")->as_bool());
+  EXPECT_EQ(server.cache().entries(), 0u);
+}
+
 TEST(Server, DeadlineAppliesToAsyncBatchesToo) {
   const std::string dir = temp_dir("srv_deadline_async");
   Server server(test_options(dir + "/cache"));

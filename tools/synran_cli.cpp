@@ -273,6 +273,7 @@ int cmd_run(const ArgvSource& args) {
 
 int cmd_coin(const ArgvSource& args) {
   const auto n = args.u32("n", 256);
+  if (n == 0) throw UsageError("invalid --n 0: coin needs n >= 1 players");
   const auto game_name = args.get("game", "majority");
   std::unique_ptr<CoinGame> game;
   if (game_name == "majority")
@@ -291,6 +292,8 @@ int cmd_coin(const ArgvSource& args) {
 
   const auto budget = args.u32("budget", 0);
   const auto samples = args.u64("samples", 400);
+  if (samples == 0)
+    throw UsageError("invalid --samples 0: coin needs samples >= 1");
   const auto est =
       estimate_control(*game, budget, samples, args.u64("seed", 1));
 
