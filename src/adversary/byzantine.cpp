@@ -34,16 +34,20 @@ FaultPlan ByzantineAdversary::plan_round(const WorldView& world) {
   const std::uint32_t n = world.n();
   // A sender may appear in at most one directive family per plan, so skip
   // everyone the inner adversary already touched.
-  DynBitset taken(n);
-  for (const auto& c : plan.crashes) taken.set(c.victim);
-  for (const auto& o : plan.omissions) taken.set(o.sender);
-  for (const auto& cd : plan.corruptions) taken.set(cd.sender);
+  taken_.assign(n);
+  for (const auto& c : plan.crashes) taken_.set(c.victim);
+  for (const auto& o : plan.omissions) taken_.set(o.sender);
+  for (const auto& cd : plan.corruptions) taken_.set(cd.sender);
+  // A sender forges to every receiver that digests the round but itself.
+  const std::size_t receivers =
+      world.alive().count() - world.alive().count_and(world.halted());
 
   for (ProcessId s = 0; s < n && budget > 0; ++s) {
-    if (!world.sending(s) || taken.test(s)) continue;
+    if (!world.sending(s) || taken_.test(s)) continue;
     if (rng_.uniform() >= opts_.corrupt_rate) continue;
     CorruptionDirective cd;
     cd.sender = s;
+    cd.forgeries.reserve(receivers);
     bool camp_one = false;
     for (ProcessId r = 0; r < n; ++r) {
       if (r == s) continue;  // a process always trusts its own memory
@@ -60,11 +64,12 @@ FaultPlan ByzantineAdversary::plan_round(const WorldView& world) {
   return plan;
 }
 
-void AdaptiveCoinAttacker::begin(std::uint32_t /*n*/,
+void AdaptiveCoinAttacker::begin(std::uint32_t n,
                                  std::uint32_t /*t_budget*/) {
   SYNRAN_REQUIRE(opts_.push_ratio > 0.5 && opts_.push_ratio <= 1.0,
                  "push_ratio must lie in (0.5, 1]");
   rng_ = Xoshiro256(opts_.seed);
+  disfavored_.reserve(n);  // a fresh adversary's list grows only once
   corruptions_spent_ = 0;
 }
 
@@ -80,7 +85,8 @@ FaultPlan AdaptiveCoinAttacker::plan_round(const WorldView& world) {
   // Read this round's realized coins off the probabilistic-stage payloads:
   // a sender favors the target when its message supports it, and is a
   // corruption victim candidate when it supports only the other value.
-  std::vector<ProcessId> disfavored;
+  std::vector<ProcessId>& disfavored = disfavored_;
+  disfavored.clear();
   std::uint64_t favored = 0;
   for (ProcessId i = 0; i < n; ++i) {
     const auto p = world.payload(i);
@@ -95,8 +101,9 @@ FaultPlan AdaptiveCoinAttacker::plan_round(const WorldView& world) {
   if (disfavored.empty()) return plan;
 
   // Everyone who will digest this round sees the forged coins.
-  DynBitset active = world.alive();
-  world.halted().for_each_set([&](std::size_t i) { active.reset(i); });
+  active_ = world.alive();
+  world.halted().for_each_set([&](std::size_t i) { active_.reset(i); });
+  const std::size_t receivers = active_.count();
 
   const Payload forged = target == Bit::One ? kForgeValue1 : kForgeValue0;
   std::uint64_t visible = favored + disfavored.size();
@@ -111,8 +118,9 @@ FaultPlan AdaptiveCoinAttacker::plan_round(const WorldView& world) {
     const ProcessId victim = disfavored[flipped];
     CorruptionDirective cd;
     cd.sender = victim;
+    cd.forgeries.reserve(receivers);
     for (ProcessId r = 0; r < n; ++r) {
-      if (r == victim || !active.test(r)) continue;
+      if (r == victim || !active_.test(r)) continue;
       cd.forgeries.push_back({r, forged});
     }
     if (cd.forgeries.empty()) break;  // nobody left to deceive

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/adversary.hpp"
@@ -63,6 +64,8 @@ class ByzantineAdversary final : public Adversary {
   Xoshiro256 rng_;
   std::unique_ptr<Adversary> inner_;
   std::uint32_t corruptions_spent_ = 0;
+  /// The senders the inner plan already uses, reused every round.
+  DynBitset taken_;
 };
 
 struct CoinAttackOptions {
@@ -98,6 +101,10 @@ class AdaptiveCoinAttacker final : public Adversary {
   CoinAttackOptions opts_;
   Xoshiro256 rng_;
   std::uint32_t corruptions_spent_ = 0;
+  /// Per-round buffers, reused every round: the senders whose coin went
+  /// against the target, and the receivers that digest this round.
+  std::vector<ProcessId> disfavored_;
+  DynBitset active_;
 };
 
 }  // namespace synran

@@ -12,6 +12,8 @@ namespace synran {
 void CoinBiasAdversary::begin(std::uint32_t n, std::uint32_t /*t_budget*/) {
   rng_ = Xoshiro256(opts_.seed);
   last_count_.assign(n, n);  // the paper's N^0 = n convention
+  one_senders_.reserve(n);    // a fresh adversary's lists grow only once
+  zero_senders_.reserve(n);
   crashes_spent_ = 0;
   split_parity_ = false;
 }
@@ -167,7 +169,7 @@ void CoinBiasAdversary::note_deliveries(const WorldView& world,
   world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
   count_into(world.n(), RoundTraffic{world.payloads(), &plan, &world.alive()},
-             receivers_, last_count_);
+             receivers_, last_count_, count_scratch_);
 }
 
 }  // namespace synran

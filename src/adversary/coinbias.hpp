@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/fabric.hpp"
 #include "sim/adversary.hpp"
 
 namespace synran {
@@ -64,10 +65,12 @@ class CoinBiasAdversary final : public Adversary {
   /// Predicted N^{r-1} per receiver (the adversary has full information and
   /// counts the deliveries it allowed).
   std::vector<std::uint32_t> last_count_;
-  /// Per-round buffers, reused every round: this round's receivers and its
-  /// probabilistic senders by the value their message supports.
+  /// Per-round buffers, reused every round: this round's receivers, its
+  /// probabilistic senders by the value their message supports, and the
+  /// scratch count_into checks in.
   DynBitset receivers_;
   std::vector<ProcessId> one_senders_, zero_senders_;
+  PlanScratch count_scratch_;
   std::uint32_t crashes_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros
 };

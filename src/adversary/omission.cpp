@@ -22,25 +22,22 @@ FaultPlan ChaosAdversary::plan_round(const WorldView& world) {
   if (budget == 0 || opts_.drop_rate <= 0.0) return plan;
 
   const std::uint32_t n = world.n();
-  DynBitset crashed_now(n);
-  for (const auto& c : plan.crashes) crashed_now.set(c.victim);
+  crashed_now_.assign(n);
+  for (const auto& c : plan.crashes) crashed_now_.set(c.victim);
 
   for (ProcessId s = 0; s < n && budget > 0; ++s) {
-    if (!world.sending(s) || crashed_now.test(s)) continue;
-    DynBitset drop(n);
+    if (!world.sending(s) || crashed_now_.test(s)) continue;
+    drop_.assign(n);
     bool any = false;
     for (ProcessId r = 0; r < n; ++r) {
       if (r == s) continue;  // self-delivery is not a network link
       if (rng_.uniform() < opts_.drop_rate) {
-        drop.set(r);
+        drop_.set(r);
         any = true;
       }
     }
     if (!any) continue;
-    OmissionDirective o;
-    o.sender = s;
-    o.drop_for = std::move(drop);
-    plan.omissions.push_back(std::move(o));
+    plan.omissions.push_back({s, drop_});
     ++omissions_spent_;
     --budget;
   }
@@ -50,6 +47,8 @@ FaultPlan ChaosAdversary::plan_round(const WorldView& world) {
 void OmissionAdversary::begin(std::uint32_t n, std::uint32_t /*t_budget*/) {
   rng_ = Xoshiro256(opts_.seed);
   last_count_.assign(n, n);  // the paper's N^0 = n convention
+  one_senders_.reserve(n);    // a fresh adversary's lists grow only once
+  zero_senders_.reserve(n);
   omissions_spent_ = 0;
   split_parity_ = false;
 }
@@ -64,7 +63,8 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
   // exactly as CoinBiasAdversary does. Deterministic-stage senders are left
   // alone: once the flooding stage is reached, hiding messages can no longer
   // extend the execution.
-  std::vector<ProcessId> one_senders, zero_senders;
+  one_senders_.clear();
+  zero_senders_.clear();
   std::uint32_t det_senders = 0, senders = 0;
   for (ProcessId i = 0; i < n; ++i) {
     const auto p = world.payload(i);
@@ -75,9 +75,9 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
       continue;
     }
     if (payload::supports(*p, Bit::One))
-      one_senders.push_back(i);
+      one_senders_.push_back(i);
     else
-      zero_senders.push_back(i);
+      zero_senders_.push_back(i);
   }
 
   const std::uint32_t budget = world.omission_round_budget();
@@ -105,8 +105,8 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
     return plan;
   }
 
-  const std::uint64_t o = one_senders.size();
-  const std::uint64_t z = zero_senders.size();
+  const std::uint64_t o = one_senders_.size();
+  const std::uint64_t z = zero_senders_.size();
 
   if (o != 0 && z != 0 && 10 * o > 6 * static_cast<std::uint64_t>(np_min)) {
     // 1-surplus: suppress the surplus 1-senders for most receivers so the
@@ -119,21 +119,18 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
     const std::uint32_t hides = static_cast<std::uint32_t>(
         std::min<std::uint64_t>({surplus, budget, o}));
     if (hides > 0) {
-      DynBitset hidden_from(n);  // everyone except the reserve group
+      hidden_from_.assign(n);  // everyone except the reserve group
       std::uint32_t tick = split_parity_ ? 0 : 2;  // rotate the group
       for (ProcessId i = 0; i < n; ++i) {
         if (!world.alive().test(i) || world.halted().test(i)) continue;
-        if (tick % 5 != 0) hidden_from.set(i);  // reserve keeps ~20%
+        if (tick % 5 != 0) hidden_from_.set(i);  // reserve keeps ~20%
         ++tick;
       }
       split_parity_ = !split_parity_;
       for (std::uint32_t k = 0; k < hides; ++k) {
-        const std::size_t j = k + rng_.below(one_senders.size() - k);
-        std::swap(one_senders[k], one_senders[j]);
-        OmissionDirective d;
-        d.sender = one_senders[k];
-        d.drop_for = hidden_from;
-        plan.omissions.push_back(std::move(d));
+        const std::size_t j = k + rng_.below(one_senders_.size() - k);
+        std::swap(one_senders_[k], one_senders_[j]);
+        plan.omissions.push_back({one_senders_[k], hidden_from_});
       }
     }
   } else if (o != 0 && z != 0 &&
@@ -143,20 +140,16 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
     // receivers, who then must propose 1. Feasible only when the zero side
     // fits in this round's omission budget.
     if (z <= budget) {
-      DynBitset half(n);
+      hidden_from_.assign(n);  // every other receiver
       bool tick = split_parity_;
       for (ProcessId i = 0; i < n; ++i) {
         if (!world.alive().test(i) || world.halted().test(i)) continue;
-        if (tick) half.set(i);
+        if (tick) hidden_from_.set(i);
         tick = !tick;
       }
       split_parity_ = !split_parity_;
-      for (ProcessId v : zero_senders) {
-        OmissionDirective d;
-        d.sender = v;
-        d.drop_for = half;
-        plan.omissions.push_back(std::move(d));
-      }
+      for (ProcessId v : zero_senders_)
+        plan.omissions.push_back({v, hidden_from_});
     }
   }
   // Unanimity among probabilistic senders is a lost cause for a pure
@@ -176,7 +169,7 @@ void OmissionAdversary::note_deliveries(const WorldView& world,
   world.halted().for_each_set([&](std::size_t i) { receivers_.reset(i); });
 
   count_into(world.n(), RoundTraffic{world.payloads(), &plan, &world.alive()},
-             receivers_, last_count_);
+             receivers_, last_count_, count_scratch_);
 }
 
 }  // namespace synran

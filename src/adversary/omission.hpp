@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/fabric.hpp"
 #include "sim/adversary.hpp"
 
 namespace synran {
@@ -57,6 +58,10 @@ class ChaosAdversary final : public Adversary {
   Xoshiro256 rng_;
   std::unique_ptr<Adversary> inner_;
   std::uint32_t omissions_spent_ = 0;
+  /// Per-round buffers, reused every round: the inner plan's crash victims
+  /// and the drop set being drawn for one sender (copied into a directive
+  /// only when it drops something).
+  DynBitset crashed_now_, drop_;
 };
 
 struct OmissionAttackOptions {
@@ -100,8 +105,13 @@ class OmissionAdversary final : public Adversary {
   /// Predicted N^{r-1} per receiver (full information: the adversary counts
   /// the deliveries it allowed, omissions included).
   std::vector<std::uint32_t> last_count_;
-  /// This round's receivers, reused every round.
+  /// Per-round buffers, reused every round: this round's receivers, its
+  /// probabilistic senders by the value their message supports, the drop
+  /// set its directives copy, and the scratch count_into checks in.
   DynBitset receivers_;
+  std::vector<ProcessId> one_senders_, zero_senders_;
+  DynBitset hidden_from_;
+  PlanScratch count_scratch_;
   std::uint32_t omissions_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros
 };

@@ -36,7 +36,8 @@ std::uint32_t RecursiveMajorityGame::outcome(
 TribesGame::TribesGame(std::uint32_t tribes, std::uint32_t width)
     : tribes_(tribes), width_(width) {
   SYNRAN_REQUIRE(tribes >= 1 && width >= 1, "tribes and width must be >= 1");
-  SYNRAN_REQUIRE(tribes * width <= 4096, "tribes game too large");
+  SYNRAN_REQUIRE(std::uint64_t{tribes} * width <= kTribesMaxPlayers,
+                 "tribes game too large");
 }
 
 std::uint32_t TribesGame::outcome(std::span<const GameValue> values,

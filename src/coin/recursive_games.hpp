@@ -40,6 +40,9 @@ class RecursiveMajorityGame final : public CoinGame {
   std::uint32_t leaves_;
 };
 
+/// Largest tribes game (tribes × width players) TribesGame builds.
+inline constexpr std::uint32_t kTribesMaxPlayers = 4096;
+
 /// Tribes (OR of ANDs): players are split into `tribes` blocks of `width`;
 /// the outcome is 1 iff some block is all-1. Hidden players count as 0, so
 /// the adversary can veto any single block with one hiding but can never

@@ -1,7 +1,8 @@
 // A small dynamic bitset tuned for the message-delivery masks used by the
-// network fabric: fixed size after construction, fast popcount/AND/OR, and
-// cheap iteration over set bits. std::vector<bool> lacks popcount and word
-// access; std::bitset needs a compile-time size.
+// network fabric: sized at construction or by assign(n), which resizes and
+// clears it in place, fast popcount/AND/OR, and cheap iteration over set
+// bits. std::vector<bool> lacks popcount and word access; std::bitset
+// needs a compile-time size.
 #pragma once
 
 #include <bit>
@@ -23,6 +24,14 @@ class DynBitset {
   }
 
   std::size_t size() const { return n_; }
+
+  /// Makes this an all-clear bitset of `n` bits in place. The word storage
+  /// is reused, so a bitset kept across calls allocates only when `n` needs
+  /// more words than it has ever held.
+  void assign(std::size_t n) {
+    n_ = n;
+    words_.assign((n + 63) / 64, 0ULL);
+  }
 
   bool test(std::size_t i) const {
     SYNRAN_CHECK(i < n_);

@@ -37,52 +37,62 @@ void for_each_candidate(std::uint32_t n, const RoundTraffic& traffic, F&& f) {
   for (std::uint32_t i = 0; i < n; ++i) f(i);
 }
 
+/// Calls `f(b)` for each set bit b of `bits`, lowest first.
+template <typename F>
+void for_each_bit(Payload bits, F&& f) {
+  while (bits != 0) {
+    f(static_cast<std::size_t>(std::countr_zero(bits)));
+    bits &= bits - 1;
+  }
+}
+
 /// Applies the plan's link-level faults — omitted deliveries and corrupted
 /// (forged) deliveries — to receipts pre-filled with the full-sender
 /// aggregate. Counts are additive, so removing a true payload is a decrement
 /// (an omission removes it outright; a corruption removes it and accumulates
 /// the forged payload in its place). The OR of payload masks is not
-/// invertible, so affected receivers get their or_mask rebuilt exactly from
-/// per-bit sender counts — bit b survives for receiver r iff some
-/// full-aggregate sender whose *true* message still reaches r carries it —
-/// and the receiver's forged payloads are OR'd back on top. Total cost
-/// O(n·|payload bits| + Σ dropped links + Σ forged links), so the fast path
-/// keeps its O(n + faults·n_bits/64) shape even when nearly every sender has
-/// a small drop set (the chaos regime).
+/// invertible, but each of the plan's D omission and corruption directives
+/// removes at most one true payload per receiver, so a bit that more than D
+/// full-aggregate senders carry survives at every receiver. Only the rare
+/// bits, with D or fewer carriers, get a per-receiver count of lost
+/// carriers in `scratch`: a receiver keeps such a bit iff it lost fewer
+/// carriers than the bit has, and its forged masks are OR'd on after. With
+/// no rare bit no receiver is revisited. Total cost O(n + Σ dropped links +
+/// Σ forged links + n · rare bits), allocating only when `scratch` grows.
 void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
                        const DynBitset& receivers, const DynBitset& crashed,
-                       const Receipt& full, std::span<Receipt> out) {
+                       const Receipt& full, DeliveryScratch& scratch,
+                       std::span<Receipt> out) {
+  const FaultPlan& plan = *traffic.plan;
   // Per-bit population over the full-aggregate senders (every sender that is
   // sending and not crashed this round; omitted senders are among them).
-  std::array<std::uint32_t, 64> base_bits{};
+  std::array<std::uint32_t, 64> carriers{};
   for_each_candidate(n, traffic, [&](std::size_t i) {
     if (!traffic.payloads[i].has_value() || crashed.test(i)) return;
-    Payload bits = *traffic.payloads[i];
-    while (bits != 0) {
-      base_bits[static_cast<std::size_t>(std::countr_zero(bits))] += 1;
-      bits &= bits - 1;
-    }
+    for_each_bit(*traffic.payloads[i], [&](std::size_t b) { ++carriers[b]; });
   });
 
-  // Per-receiver dropped-sender counts, one lazily-sized column per payload
-  // bit in use (a handful in practice: the value bits + the det flag).
-  std::array<std::vector<std::uint32_t>, 64> drop_bits;
-  DynBitset affected(n);
+  const std::size_t directives =
+      plan.omissions.size() + plan.corruptions.size();
+  Payload rare = 0;
+  std::array<std::uint8_t, 64> column{};  // a rare bit's slot in `lost`
+  std::size_t columns = 0;
+  for_each_bit(full.or_mask, [&](std::size_t b) {
+    if (carriers[b] > directives) return;  // survives at every receiver
+    rare |= Payload{1} << b;
+    column[b] = static_cast<std::uint8_t>(columns++);
+  });
+  std::vector<std::uint32_t>& lost = scratch.lost;  // receiver-major
+  lost.assign(columns * n, 0);
+
   const auto drop_true_payload = [&](Payload p, std::size_t r) {
     Receipt& out_r = out[r];
     if (p & payload::kSupports1) --out_r.ones;
     if (p & payload::kSupports0) --out_r.zeros;
-    affected.set(r);
-    Payload bits = p;
-    while (bits != 0) {
-      auto& column =
-          drop_bits[static_cast<std::size_t>(std::countr_zero(bits))];
-      if (column.empty()) column.assign(n, 0);
-      column[r] += 1;
-      bits &= bits - 1;
-    }
+    for_each_bit(p & rare,
+                 [&](std::size_t b) { ++lost[r * columns + column[b]]; });
   };
-  for (const auto& o : traffic.plan->omissions) {
+  for (const auto& o : plan.omissions) {
     const Payload p = *traffic.payloads[o.sender];
     o.drop_for.for_each_set([&](std::size_t r) {
       if (!receivers.test(r)) return;
@@ -92,11 +102,11 @@ void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
   }
 
   // A corrupted link substitutes the forged payload for the true one: the
-  // true payload is dropped exactly like an omission, the forged counts are
-  // added directly, and the forged mask is OR'd on after the rebuild. The
-  // message itself still arrives, so `count` is untouched.
-  std::vector<Payload> forged_or;
-  for (const auto& cd : traffic.plan->corruptions) {
+  // true payload is dropped exactly like an omission and the forged counts
+  // are added directly. The message itself still arrives, so `count` is
+  // untouched. The forged mask is OR'd on last, after the rebuild, which
+  // must see the true bits alone.
+  for (const auto& cd : plan.corruptions) {
     const Payload p = *traffic.payloads[cd.sender];
     for (const auto& fg : cd.forgeries) {
       const std::size_t r = fg.target;
@@ -105,24 +115,24 @@ void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
       Receipt& out_r = out[r];
       if (fg.forged & payload::kSupports1) ++out_r.ones;
       if (fg.forged & payload::kSupports0) ++out_r.zeros;
-      if (forged_or.empty()) forged_or.assign(n, 0);
-      forged_or[r] |= fg.forged;
     }
   }
 
-  affected.for_each_set([&](std::size_t r) {
-    Payload mask = 0;
-    Payload bits = full.or_mask;
-    while (bits != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const std::uint32_t dropped =
-          drop_bits[b].empty() ? 0 : drop_bits[b][r];
-      if (base_bits[b] > dropped) mask |= Payload{1} << b;
-    }
-    if (!forged_or.empty()) mask |= forged_or[r];
-    out[r].or_mask = mask;
-  });
+  // Each receiver's or_mask is still full.or_mask: it loses the rare bits
+  // whose every carrier it lost, then gets its forged masks back.
+  if (rare != 0) {
+    receivers.for_each_set([&](std::size_t r) {
+      Payload gone = 0;
+      for_each_bit(rare, [&](std::size_t b) {
+        if (lost[r * columns + column[b]] == carriers[b])
+          gone |= Payload{1} << b;
+      });
+      out[r].or_mask &= ~gone;
+    });
+  }
+  for (const auto& cd : plan.corruptions)
+    for (const auto& fg : cd.forgeries)
+      if (receivers.test(fg.target)) out[fg.target].or_mask |= fg.forged;
 }
 
 /// Calls `f(mask, first, last)` for each crash group: a run
@@ -160,26 +170,25 @@ void apply_crash_groups(const RoundTraffic& traffic, const DynBitset& receivers,
   });
 }
 
-/// The plan's crash victims, or ArgumentError naming its first violation.
-DynBitset checked_victims(std::uint32_t n, const RoundTraffic& traffic) {
-  DynBitset victims;
-  if (const std::string why = check_plan(n, traffic, victims); !why.empty())
+/// Runs `check_plan` in `scratch`, throwing its violation as ArgumentError.
+void check_or_throw(std::uint32_t n, const RoundTraffic& traffic,
+                    PlanScratch& scratch) {
+  if (const std::string why = check_plan(n, traffic, scratch); !why.empty())
     throw ArgumentError("deliver: " + why);
-  return victims;
 }
 
 }  // namespace
 
 std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
-                       DynBitset& victims) {
+                       PlanScratch& scratch) {
   if (traffic.payloads.size() != n)
     return str_cat("payload span holds ", traffic.payloads.size(),
                    " slots, expected n=", n);
   if (traffic.live != nullptr && traffic.live->size() != n)
     return str_cat("live set has size ", traffic.live->size(),
                    ", expected n=", n);
-  if (victims.size() != n) victims = DynBitset(n);
-  victims.clear_all();
+  DynBitset& victims = scratch.victims;
+  victims.assign(n);
   if (traffic.plan == nullptr) return {};
   const FaultPlan& plan = *traffic.plan;
   const auto& sends = traffic.payloads;
@@ -205,10 +214,11 @@ std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
                      c.deliver_to.size(), ", expected n=", n);
     victims.set(c.victim);
   }
-  // A crash-only plan is done here, having allocated nothing.
+  // A crash-only plan is done here, having cleared one set.
   if (plan.omissions.empty() && plan.corruptions.empty()) return {};
 
-  DynBitset omitted(n);
+  DynBitset& omitted = scratch.omitted;
+  omitted.assign(n);
   for (const auto& o : plan.omissions) {
     if (o.sender >= n)
       return str_cat("omission sender ", o.sender, " is not a process (n=",
@@ -233,8 +243,13 @@ std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
     omitted.set(o.sender);
   }
 
-  DynBitset corrupted(plan.corruptions.empty() ? 0 : n);
-  DynBitset targets(corrupted.size());
+  if (plan.corruptions.empty()) return {};
+  // `targets` is cleared here, not only after each directive, because a
+  // check that failed mid-directive left it dirty.
+  DynBitset& corrupted = scratch.corrupted;
+  DynBitset& targets = scratch.targets;
+  corrupted.assign(n);
+  targets.assign(n);
   for (const auto& cd : plan.corruptions) {
     if (cd.sender >= n)
       return str_cat("corruption sender ", cd.sender, " is not a process (n=",
@@ -274,13 +289,16 @@ std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
 
 void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
                   const DynBitset& receivers, std::span<Receipt> out) {
-  deliver_checked_into(n, traffic, checked_victims(n, traffic), receivers,
-                       out);
+  PlanScratch plan;
+  check_or_throw(n, traffic, plan);
+  DeliveryScratch scratch;
+  deliver_checked_into(n, traffic, plan.victims, receivers, out, scratch);
 }
 
 void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
                           const DynBitset& victims,
-                          const DynBitset& receivers, std::span<Receipt> out) {
+                          const DynBitset& receivers, std::span<Receipt> out,
+                          DeliveryScratch& scratch) {
   SYNRAN_REQUIRE(victims.size() == n, "victims mask has wrong size");
   SYNRAN_REQUIRE(receivers.size() == n, "receivers mask has wrong size");
   SYNRAN_REQUIRE(out.size() == n, "receipt span has wrong size");
@@ -296,16 +314,17 @@ void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
   if (traffic.plan == nullptr) return;
 
   // Link-fault application must precede the crash additions: it rebuilds
-  // affected receivers' or_mask from the aggregate senders alone, and the
-  // partial crash deliveries then OR their payloads back on top.
+  // receivers' or_mask from the aggregate senders alone, and the partial
+  // crash deliveries then OR their payloads back on top.
   if (!traffic.plan->omissions.empty() || !traffic.plan->corruptions.empty())
-    apply_link_faults(n, traffic, receivers, victims, full, out);
+    apply_link_faults(n, traffic, receivers, victims, full, scratch, out);
   apply_crash_groups(traffic, receivers, out);
 }
 
 void count_into(std::uint32_t n, const RoundTraffic& traffic,
-                const DynBitset& receivers, std::span<std::uint32_t> counts) {
-  checked_victims(n, traffic);
+                const DynBitset& receivers, std::span<std::uint32_t> counts,
+                PlanScratch& scratch) {
+  check_or_throw(n, traffic, scratch);
   SYNRAN_REQUIRE(receivers.size() == n, "receivers mask has wrong size");
   SYNRAN_REQUIRE(counts.size() == n, "count span has wrong size");
 
@@ -344,7 +363,8 @@ std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,
 
 std::vector<Receipt> deliver_naive(std::uint32_t n, const RoundTraffic& traffic,
                                    const DynBitset& receivers) {
-  checked_victims(n, traffic);
+  PlanScratch scratch;
+  check_or_throw(n, traffic, scratch);
   SYNRAN_REQUIRE(receivers.size() == n, "receivers mask has wrong size");
 
   // Build the full delivery matrix, then fold.

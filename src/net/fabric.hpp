@@ -7,24 +7,38 @@
 // (live, but suppressed for a drop set) have their deliveries *subtracted*
 // from the aggregate, and corruption senders have the true payload swapped
 // for each target's forged one (subtract truth, add forgery; `count` stays
-// put because the message still arrives), with the non-invertible or_mask
-// rebuilt exactly from per-bit sender counts and forged masks OR'd back on
-// top. Consecutive crash victims with equal deliver_to masks form one group
-// whose payloads are folded once and added once per recipient, so an
-// adversary hiding a whole camp from one receiver set pays for the mask,
-// not for every victim; victims holding one shared mask handle are grouped
-// in O(1) each. Total cost stays
-// O(L + Σ over groups |mask| + directives + Σ|omitted and forged links|)
-// per round instead of the naive O(n²), where L is |traffic.live| when the
-// caller supplies a live set and n otherwise, plus n/64 words per bitset
+// put because the message still arrives). The OR of payload masks is not
+// invertible, but each of a plan's D omission and corruption directives
+// takes at most one true payload from a receiver, so a payload bit that
+// more than D full-aggregate senders carry survives everywhere; only the
+// rare bits, carried by D or fewer, are rebuilt per receiver, with the
+// forged masks OR'd back on top. Consecutive crash victims with equal
+// deliver_to masks form one group whose payloads are folded once and added
+// once per recipient, so an adversary hiding a whole camp from one receiver
+// set pays for the mask, not for every victim; victims holding one shared
+// mask handle are grouped in O(1) each. A round costs
+// O(L + Σ over groups |mask| + directives) for its crashes, where L is
+// |traffic.live| when the caller supplies a live set and n otherwise, and
+// O(n + dropped links + forged links + n · rare bits) for its omissions
+// and corruptions, instead of the naive O(n²); plus n/64 words per bitset
 // `check_plan` clears (one for a crash-only plan) and per distinct mask
 // handle compared. A deliberately naive reference implementation is
 // provided for cross-checking in tests.
+//
+// Scratch: the checks and the link-fault rebuild work in buffers their
+// caller keeps and that each call clears in place, so a kept buffer
+// allocates only when n outgrows it. The engine's `RunAuditor` keeps the
+// `PlanScratch` its per-round `check_plan` uses, and the engine's
+// `EngineWorkspace` the `DeliveryScratch` of `deliver_checked_into`; an
+// adversary that follows N^{r-1} through `count_into` keeps its own
+// `PlanScratch`. The one-shot `deliver`, `deliver_into` and
+// `deliver_naive` build theirs per call.
 #pragma once
 
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "net/types.hpp"
 
@@ -49,17 +63,33 @@ struct RoundTraffic {
   const DynBitset* live = nullptr;
 };
 
+/// What `check_plan` leaves and works in. Each check sizes and clears the
+/// sets it uses in place: `victims` always, `omitted` for a plan that omits
+/// or corrupts, `corrupted` and `targets` for one that corrupts.
+struct PlanScratch {
+  DynBitset victims;    ///< the accepted plan's crash victims
+  DynBitset omitted;    ///< omission senders checked so far
+  DynBitset corrupted;  ///< corruption senders checked so far
+  DynBitset targets;    ///< the forgery targets of the current directive
+};
+
+/// What `deliver_checked_into` works in when a plan omits or corrupts: per
+/// receiver, for each rare payload bit, how many of the bit's carriers the
+/// receiver lost. Reassigned, not reallocated, by each call.
+struct DeliveryScratch {
+  std::vector<std::uint32_t> lost;
+};
+
 /// The §3.1 plan-shape rules every delivery and the runtime auditor share:
 /// each directive names a process (below n) that sends this round and lies
 /// in `traffic.live` when one is given; no process appears twice in one
 /// family or in two; every mask holds n bits; a corruption's forgery
 /// targets are distinct processes. Returns the first violation, naming the
 /// offender, or "" for a well-formed (or null) plan, whose crash victims it
-/// leaves in `victims`. `victims` is resized only when it does not hold n
-/// bits, so a bitset kept across rounds checks crash-only plans without
-/// allocating.
+/// leaves in `scratch.victims`. A scratch kept across rounds checks every
+/// plan without allocating once it has held n bits.
 std::string check_plan(std::uint32_t n, const RoundTraffic& traffic,
-                       DynBitset& victims);
+                       PlanScratch& scratch);
 
 /// Writes the receipt of every process in `receivers` (set bits) into its
 /// slot of `out`, which must hold `n` receipts; the slots of non-receivers
@@ -70,10 +100,12 @@ void deliver_into(std::uint32_t n, const RoundTraffic& traffic,
 
 /// `deliver_into` without the check, for a plan that passed `check_plan`
 /// over the same payloads and left `victims`: how the engine delivers once
-/// its runtime auditor has checked the round's plan.
+/// its runtime auditor has checked the round's plan. Omissions and
+/// corruptions work in `scratch`, which the caller keeps across rounds.
 void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
                           const DynBitset& victims,
-                          const DynBitset& receivers, std::span<Receipt> out);
+                          const DynBitset& receivers, std::span<Receipt> out,
+                          DeliveryScratch& scratch);
 
 /// Writes only what `deliver_into` would write into each receiver's
 /// `Receipt::count`: into `counts[i]` for every process i in `receivers`,
@@ -84,9 +116,11 @@ void deliver_checked_into(std::uint32_t n, const RoundTraffic& traffic,
 /// the size of each crash group whose mask holds the receiver, so it costs
 /// O(L + Σ over groups |mask| + Σ|omitted links| + directives) with no
 /// receipt arithmetic: how an adversary that only needs each receiver's
-/// N^{r-1} follows the deliveries it allowed.
+/// N^{r-1} follows the deliveries it allowed. The check runs in `scratch`,
+/// which such an adversary keeps across rounds.
 void count_into(std::uint32_t n, const RoundTraffic& traffic,
-                const DynBitset& receivers, std::span<std::uint32_t> counts);
+                const DynBitset& receivers, std::span<std::uint32_t> counts,
+                PlanScratch& scratch);
 
 /// `deliver_into` a fresh vector: receipts for non-receiver indices are
 /// value-initialized.

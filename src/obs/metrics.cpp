@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -49,28 +50,50 @@ Histogram Histogram::restore(std::vector<double> upper_bounds,
   return h;
 }
 
+namespace {
+
+/// Where `name` is or would be inserted in `map`, and whether it is there:
+/// one lookup, and no key string built, whether or not the name exists.
+template <typename Map>
+std::pair<typename Map::iterator, bool> locate(Map& map,
+                                               std::string_view name) {
+  const auto it = map.lower_bound(name);
+  return {it, it != map.end() && it->first == name};
+}
+
+/// The metric named `name`, value-initialized first if it is new.
+template <typename Map>
+typename Map::mapped_type& find_or_add(Map& map, std::string_view name) {
+  auto [it, found] = locate(map, name);
+  if (!found)
+    it = map.emplace_hint(it, std::string(name), typename Map::mapped_type{});
+  return it->second;
+}
+
+}  // namespace
+
 Counter& MetricsRegistry::counter(std::string_view name) {
-  return counters_[std::string(name)];
+  return find_or_add(counters_, name);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return gauges_[std::string(name)];
+  return find_or_add(gauges_, name);
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const std::vector<double>& upper_bounds) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram(upper_bounds)).first;
-  } else {
-    SYNRAN_REQUIRE(it->second.bounds() == upper_bounds,
-                   "histogram re-registered with different bounds");
-  }
+  auto [it, found] = locate(histograms_, name);
+  if (!found)
+    return histograms_.emplace_hint(it, std::string(name),
+                                    Histogram(upper_bounds))
+        ->second;
+  SYNRAN_REQUIRE(it->second.bounds() == upper_bounds,
+                 "histogram re-registered with different bounds");
   return it->second;
 }
 
 Summary& MetricsRegistry::summary(std::string_view name) {
-  return summaries_[std::string(name)];
+  return find_or_add(summaries_, name);
 }
 
 namespace {

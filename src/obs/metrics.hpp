@@ -79,8 +79,9 @@ class Histogram {
 };
 
 /// Named metrics, one namespace per kind. Mutable lookups create on first
-/// use; const lookups require the metric to exist (reports read only what
-/// something wrote).
+/// use, in one map lookup either way, and build a key string only for a
+/// new name; const lookups require the metric to exist (reports read only
+/// what something wrote).
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);

@@ -23,11 +23,9 @@ void RunAuditor::begin(std::uint32_t n, std::uint32_t t_budget,
   byzantine_budget_ = byzantine_budget;
   byzantine_round_cap_ = byzantine_round_cap;
   cum_corruptions_ = 0;
-  // A kept auditor clears its buffers in place; only a new n reallocates.
-  for (DynBitset* set : {&crashed_, &victims_}) {
-    if (set->size() != n) *set = DynBitset(n);
-    set->clear_all();
-  }
+  // A kept auditor clears its buffers in place; only a larger n allocates.
+  crashed_.assign(n);
+  plan_.victims.assign(n);
   crash_round_.assign(n, 0);
   was_decided_.assign(n, false);
   decision_was_.assign(n, Bit::Zero);
@@ -155,7 +153,7 @@ void RunAuditor::on_plan(Round round, const FaultPlan& plan,
                           "failed in round ", crash_round_[c.victim]));
   }
   if (const std::string why =
-          check_plan(n_, RoundTraffic{payloads, &plan}, victims_);
+          check_plan(n_, RoundTraffic{payloads, &plan}, plan_);
       !why.empty())
     fail(round, why);
   for (const auto& c : plan.crashes) {

@@ -24,8 +24,10 @@
 //     exactly drop_for ∩ active.
 //
 // The directive-shape rules are net/fabric.hpp's `check_plan`, which
-// on_plan runs after its budget, cap and re-crash checks; the engine
-// delivers with the victims it leaves, so a round checks its plan once.
+// on_plan runs after its budget, cap and re-crash checks, in a PlanScratch
+// the auditor keeps across rounds and runs; the engine delivers with the
+// victims it leaves, so a round checks its plan once and allocates nothing
+// for the check.
 //
 // Violations throw InvariantError with a round-stamped narrative naming the
 // process and the budget arithmetic involved. The predicates are cheap, so
@@ -35,11 +37,12 @@
 // complement of its crashed set) in phase A and in the full-sender
 // recount, O(halted) virtual decided()/decision() calls in phase A (every
 // live process in strict mode), O(1) per directive and forgery plus n/64
-// words per `check_plan` bitset for the plan checks, and for the delivery
-// count one count_and (O(n/64) words) per run of consecutive crash
-// directives with equal masks. Directives sharing one
-// mask handle compare equal in O(1), so an adversary that hides a whole
-// camp behind one mask pays one popcount pass, not one per victim.
+// words per `check_plan` bitset cleared (one for a crash-only plan, two
+// with omissions, four with corruptions) for the plan checks, and for the
+// delivery count one count_and (O(n/64) words) per run of consecutive
+// crash directives with equal masks. Directives sharing one mask handle
+// compare equal in O(1), so an adversary that hides a whole camp behind
+// one mask pays one popcount pass, not one per victim.
 // AuditedAdversary additionally lets tests and fuzzers wrap any
 // third-party Adversary and validate it in isolation.
 #pragma once
@@ -53,6 +56,7 @@
 
 #include "common/dynbitset.hpp"
 #include "common/ids.hpp"
+#include "net/fabric.hpp"
 #include "net/types.hpp"
 #include "sim/adversary.hpp"
 
@@ -131,7 +135,7 @@ class RunAuditor {
   const DynBitset& crashed() const { return crashed_; }
   /// The crash victims of the plan the last on_plan accepted, for
   /// `deliver_checked_into`.
-  const DynBitset& plan_victims() const { return victims_; }
+  const DynBitset& plan_victims() const { return plan_.victims; }
 
  private:
   [[noreturn]] void fail(Round round, const std::string& what) const;
@@ -152,7 +156,9 @@ class RunAuditor {
   std::uint32_t cum_corruptions_ = 0;
   bool strict_decisions_ = false;
   DynBitset crashed_;
-  DynBitset victims_;
+  /// Kept across rounds and runs, so checking an omission or corruption
+  /// plan allocates nothing once the sets hold n bits.
+  PlanScratch plan_;
   std::vector<Round> crash_round_;
   std::vector<bool> was_decided_;
   std::vector<Bit> decision_was_;

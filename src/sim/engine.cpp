@@ -161,7 +161,8 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     // on_plan checked the plan's shape and left its victims. Crashed slots
     // are empty (on_phase_a), so the live set covers every sender.
     deliver_checked_into(n, RoundTraffic{payloads, &plan, &alive},
-                         auditor.plan_victims(), active, receipts);
+                         auditor.plan_victims(), active, receipts,
+                         ws_.delivery_);
     active.for_each_set([&](std::size_t i) {
       have_receipt[i] = 1;
       round.delivered += receipts[i].count;

@@ -7,10 +7,12 @@
 // engine resets the buffers in place at the start of each run and rebuilds
 // each kept process in place through ProcessFactory::remake (make() fills
 // only an empty slot or one the factory cannot rebuild), so a run allocates
-// only what its adversary and protocol allocate while running. The batch
-// executors keep one workspace per thread across batches (exec/executor.hpp,
-// rule 2). One workspace serves one thread — workspaces are never shared
-// concurrently.
+// only what its adversary and protocol allocate while running. It also
+// keeps the scratch a round's omissions and corruptions are delivered in
+// (the auditor keeps its plan check's), so such a round allocates only its
+// plan. The batch executors keep one workspace per thread across batches
+// (exec/executor.hpp, rule 2). One workspace serves one thread —
+// workspaces are never shared concurrently.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "common/dynbitset.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
+#include "net/fabric.hpp"
 #include "net/types.hpp"
 #include "sim/audit.hpp"
 #include "sim/process.hpp"
@@ -106,6 +109,10 @@ class EngineWorkspace {
   DynBitset alive_;
   DynBitset halted_;
   DynBitset active_;  ///< the current round's receivers (engine-assigned)
+  /// Where deliver_checked_into applies a round's omissions and
+  /// corruptions, kept so that it allocates only when n times the round's
+  /// number of rare payload bits outgrows it.
+  DeliveryScratch delivery_;
   std::vector<std::optional<Payload>> payloads_;
   std::vector<Receipt> receipts_;
   std::vector<std::uint8_t> have_receipt_;

@@ -334,6 +334,24 @@ TEST(DynBitsetTest, CountAndMatchesMaterializedIntersection) {
   }
 }
 
+TEST(DynBitsetTest, AssignEqualsAFreshBitsetAtEverySize) {
+  // A bitset kept across calls is reassigned through shrinks, word edges
+  // and regrowth, dirty each time; after each assign it must equal a
+  // freshly built clear one, the unused high bits of its last word
+  // included.
+  Xoshiro256 rng(2032);
+  DynBitset kept(200, true);
+  for (std::size_t n : {200u, 3u, 65u, 64u, 0u, 130u, 200u}) {
+    kept.assign(n);
+    EXPECT_TRUE(kept == DynBitset(n)) << "n=" << n;
+    EXPECT_EQ(kept.count(), 0u) << "n=" << n;
+    EXPECT_EQ(kept.hash(), DynBitset(n).hash()) << "n=" << n;
+    kept.set_all();
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.flip()) kept.reset(i);
+  }
+}
+
 TEST(DynBitsetTest, ForEachClearVisitsTheComplementInOrder) {
   // Word-boundary sizes; the walk must stop at size() even though the last
   // word's unused high bits are clear.

@@ -176,6 +176,15 @@ TEST(FabricTest, DeliverIntoRejectsWrongSpanSize) {
   for (const auto& r : too_long) EXPECT_EQ(r, sentinel);
 }
 
+/// One round's inputs: the system size, the payloads, the fault plan and
+/// the receivers.
+struct FabricCase {
+  std::uint32_t n = 0;
+  std::vector<std::optional<Payload>> payloads;
+  FaultPlan plan;
+  DynBitset receivers;
+};
+
 // count_into is one more input to every equivalence suite below: it writes
 // exactly the naive receipts' counts into the receivers' slots and leaves
 // every other slot alone, and a malformed plan makes it throw deliver_into's
@@ -185,7 +194,8 @@ void expect_counts_match(std::uint32_t n, const RoundTraffic& traffic,
                          const std::vector<Receipt>& naive) {
   constexpr std::uint32_t kUntouched = 0xdeadbeef;
   std::vector<std::uint32_t> counts(n, kUntouched);
-  count_into(n, traffic, receivers, counts);
+  PlanScratch scratch;
+  count_into(n, traffic, receivers, counts, scratch);
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_EQ(counts[i], receivers.test(i) ? naive[i].count : kUntouched)
         << "slot " << i << " n=" << n;
@@ -213,7 +223,7 @@ void expect_counts_match(std::uint32_t n, const RoundTraffic& traffic,
       delivered_error = e.what();
     }
     try {
-      count_into(n, bad_traffic, receivers, counts);
+      count_into(n, bad_traffic, receivers, counts, scratch);
       ADD_FAILURE() << "count_into accepted a malformed plan, n=" << n;
     } catch (const ArgumentError& e) {
       EXPECT_EQ(std::string(e.what()), delivered_error);
@@ -221,14 +231,142 @@ void expect_counts_match(std::uint32_t n, const RoundTraffic& traffic,
   }
 }
 
+// Every equivalence suite below also runs its traffic through scratch a
+// caller keeps, the way the engine and the adversaries do: the auditor's
+// and the adversaries' PlanScratch and the workspace's DeliveryScratch.
+struct KeptScratch {
+  PlanScratch plan;
+  DeliveryScratch delivery;
+};
+
+/// The sizes a kept scratch is carried through: a shrink to one word, a
+/// word edge, and a regrowth to the first size.
+constexpr std::uint32_t kKeptScratchSizes[] = {200, 3, 65, 200};
+
+/// The kept-scratch path — check_plan, deliver_checked_into with the
+/// victims it left, count_into — against deliver_naive, with `kept`
+/// carried over from whatever rounds it served before.
+void expect_kept_scratch_matches(const FabricCase& c, const DynBitset* live,
+                                 KeptScratch& kept) {
+  const std::uint32_t n = c.n;
+  const RoundTraffic traffic{c.payloads, &c.plan, live};
+  const auto naive = deliver_naive(n, traffic, c.receivers);
+  ASSERT_EQ(check_plan(n, traffic, kept.plan), "") << "n=" << n;
+  const Receipt sentinel{7, 7, 7, 0x7777};
+  std::vector<Receipt> into(n, sentinel);
+  deliver_checked_into(n, traffic, kept.plan.victims, c.receivers, into,
+                       kept.delivery);
+  constexpr std::uint32_t kUntouched = 0xdeadbeef;
+  std::vector<std::uint32_t> counts(n, kUntouched);
+  count_into(n, traffic, c.receivers, counts, kept.plan);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const bool receives = c.receivers.test(i);
+    EXPECT_EQ(into[i], receives ? naive[i] : sentinel)
+        << "slot " << i << " n=" << n;
+    EXPECT_EQ(counts[i], receives ? naive[i].count : kUntouched)
+        << "slot " << i << " n=" << n;
+  }
+}
+
+/// Runs two cases `make(k, n)` (k = 0, 1) at each kept-scratch size through
+/// one scratch, so every call finds it dirty: left at another n, or by
+/// another plan at the same n.
+template <typename Make>
+void expect_kept_scratch_across_sizes(Make make) {
+  KeptScratch kept;
+  for (const std::uint32_t n : kKeptScratchSizes)
+    for (std::uint64_t k = 0; k < 2; ++k)
+      expect_kept_scratch_matches(make(k, n), nullptr, kept);
+}
+
+/// A payload bit no generator's true payloads carry (they keep to the low
+/// three bits), so its carriers are exactly the senders given it below.
+constexpr Payload kRareBit = Payload{1} << 4;
+
+/// Turns `c` into a boundary plan for the fabric's rare-bit or_mask
+/// rebuild. kRareBit goes to exactly the senders of the plan's D omission
+/// and corruption directives, plus one more full-aggregate sender when
+/// `extra_carrier`, and every directive drops its message to one receiver
+/// r or forges it without the bit. So r loses all D carriers: the bit must
+/// leave r's or_mask at D carriers and stay at D + 1. A plan without link
+/// faults first gains an omission with an empty drop set. Returns r, or
+/// nullopt when `c` has no receiver or too few spare senders.
+std::optional<ProcessId> make_rare_bit_boundary(FabricCase& c,
+                                                bool extra_carrier) {
+  const std::uint32_t n = c.n;
+  std::optional<ProcessId> r;
+  c.receivers.for_each_set([&](std::size_t i) {
+    if (!r.has_value()) r = static_cast<ProcessId>(i);
+  });
+  if (!r.has_value()) return std::nullopt;
+  DynBitset used(n);
+  for (const auto& d : c.plan.crashes) used.set(d.victim);
+  for (const auto& d : c.plan.omissions) used.set(d.sender);
+  for (const auto& d : c.plan.corruptions) used.set(d.sender);
+  std::vector<ProcessId> spare;
+  for (ProcessId i = 0; i < n; ++i)
+    if (c.payloads[i].has_value() && !used.test(i)) spare.push_back(i);
+  if (c.plan.omissions.empty() && c.plan.corruptions.empty()) {
+    if (spare.empty()) return std::nullopt;
+    c.plan.omissions.push_back({spare.back(), DynBitset(n)});
+    spare.pop_back();
+  }
+  if (extra_carrier) {
+    if (spare.empty()) return std::nullopt;
+    *c.payloads[spare.front()] |= kRareBit;
+  }
+  for (auto& o : c.plan.omissions) {
+    *c.payloads[o.sender] |= kRareBit;
+    o.drop_for.set(*r);
+  }
+  for (auto& cd : c.plan.corruptions) {
+    *c.payloads[cd.sender] |= kRareBit;
+    const auto it =
+        std::find_if(cd.forgeries.begin(), cd.forgeries.end(),
+                     [&](const auto& fg) { return fg.target == *r; });
+    if (it == cd.forgeries.end())
+      cd.forgeries.push_back({*r, payload::kSupports1});
+    else
+      it->forged &= ~kRareBit;
+  }
+  return r;
+}
+
+/// The D- and the (D + 1)-carrier boundary plans built from `base`,
+/// through the one-shot, the counting and the kept-scratch paths.
+void expect_rare_bit_boundaries(const FabricCase& base,
+                                const DynBitset* live = nullptr) {
+  KeptScratch kept;
+  for (const bool extra_carrier : {false, true}) {
+    FabricCase c = base;
+    const std::optional<ProcessId> r = make_rare_bit_boundary(c, extra_carrier);
+    if (!r.has_value()) continue;
+    const std::uint32_t n = c.n;
+    const RoundTraffic traffic{c.payloads, &c.plan, live};
+    const auto naive = deliver_naive(n, traffic, c.receivers);
+    EXPECT_EQ((naive[*r].or_mask & kRareBit) != 0, extra_carrier)
+        << "receiver " << *r << " n=" << n;
+    EXPECT_EQ(deliver(n, traffic, c.receivers), naive) << "n=" << n;
+    expect_counts_match(n, traffic, c.receivers, naive);
+    expect_kept_scratch_matches(c, live, kept);
+  }
+}
+
 // Property: fast path == naive path on random traffic.
 class FabricEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FabricEquivalence, FastMatchesNaive) {
-  Xoshiro256 rng(GetParam());
-  const std::uint32_t n = 3 + static_cast<std::uint32_t>(rng.below(60));
+/// A random crash-only round drawn from `seed`, over 3 to 62 processes
+/// unless `size` fixes n (the rest of the draw is unchanged).
+FabricCase random_traffic_case(std::uint64_t seed,
+                               std::optional<std::uint32_t> size = {}) {
+  Xoshiro256 rng(seed);
+  const std::uint32_t drawn = 3 + static_cast<std::uint32_t>(rng.below(60));
+  FabricCase c;
+  c.n = size.value_or(drawn);
+  const std::uint32_t n = c.n;
 
-  std::vector<std::optional<Payload>> payloads(n);
+  std::vector<std::optional<Payload>>& payloads = c.payloads;
+  payloads.resize(n);
   std::vector<ProcessId> senders;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (rng.uniform() < 0.8) {
@@ -237,8 +375,9 @@ TEST_P(FabricEquivalence, FastMatchesNaive) {
     }
   }
 
-  FaultPlan plan;
-  DynBitset receivers(n, true);
+  FaultPlan& plan = c.plan;
+  DynBitset& receivers = c.receivers;
+  receivers = DynBitset(n, true);
   if (!senders.empty()) {
     const std::uint32_t crashes = static_cast<std::uint32_t>(
         rng.below(std::min<std::uint64_t>(senders.size(), 5) + 1));
@@ -254,14 +393,27 @@ TEST_P(FabricEquivalence, FastMatchesNaive) {
   }
   for (std::uint32_t i = 0; i < n; ++i)
     if (rng.uniform() < 0.2) receivers.reset(i);
+  return c;
+}
 
-  RoundTraffic traffic{payloads, &plan};
-  const auto fast = deliver(n, traffic, receivers);
-  const auto naive = deliver_naive(n, traffic, receivers);
+TEST_P(FabricEquivalence, FastMatchesNaive) {
+  const FabricCase c = random_traffic_case(GetParam());
+  const std::uint32_t n = c.n;
+  RoundTraffic traffic{c.payloads, &c.plan};
+  const auto fast = deliver(n, traffic, c.receivers);
+  const auto naive = deliver_naive(n, traffic, c.receivers);
   ASSERT_EQ(fast.size(), naive.size());
   for (std::uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
-  expect_counts_match(n, traffic, receivers, naive);
+  expect_counts_match(n, traffic, c.receivers, naive);
+  expect_rare_bit_boundaries(c);
+}
+
+TEST_P(FabricEquivalence, KeptScratchMatchesNaiveAsNChanges) {
+  expect_kept_scratch_across_sizes(
+      [&](std::uint64_t k, std::uint32_t n) {
+        return random_traffic_case(GetParam() + 1000 * k, n);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraffic, FabricEquivalence,
@@ -346,11 +498,18 @@ TEST(OmissionFabricTest, ValidationRejectsBadOmissions) {
 class OmissionFabricEquivalence
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(OmissionFabricEquivalence, FastMatchesNaive) {
-  Xoshiro256 rng(GetParam() * 0x9e3779b97f4a7c15ULL + 1);
-  const std::uint32_t n = 3 + static_cast<std::uint32_t>(rng.below(60));
+/// A random crash and omission round drawn from `seed`, over 3 to 62
+/// processes unless `size` fixes n (the rest of the draw is unchanged).
+FabricCase omission_traffic_case(std::uint64_t seed,
+                                 std::optional<std::uint32_t> size = {}) {
+  Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+  const std::uint32_t drawn = 3 + static_cast<std::uint32_t>(rng.below(60));
+  FabricCase c;
+  c.n = size.value_or(drawn);
+  const std::uint32_t n = c.n;
 
-  std::vector<std::optional<Payload>> payloads(n);
+  std::vector<std::optional<Payload>>& payloads = c.payloads;
+  payloads.resize(n);
   std::vector<ProcessId> senders;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (rng.uniform() < 0.8) {
@@ -359,8 +518,9 @@ TEST_P(OmissionFabricEquivalence, FastMatchesNaive) {
     }
   }
 
-  FaultPlan plan;
-  DynBitset receivers(n, true);
+  FaultPlan& plan = c.plan;
+  DynBitset& receivers = c.receivers;
+  receivers = DynBitset(n, true);
   std::size_t used = 0;  // prefix of `senders` consumed by crash directives
   if (!senders.empty()) {
     const std::uint32_t crashes = static_cast<std::uint32_t>(
@@ -392,14 +552,27 @@ TEST_P(OmissionFabricEquivalence, FastMatchesNaive) {
   }
   for (std::uint32_t i = 0; i < n; ++i)
     if (rng.uniform() < 0.2) receivers.reset(i);
+  return c;
+}
 
-  RoundTraffic traffic{payloads, &plan};
-  const auto fast = deliver(n, traffic, receivers);
-  const auto naive = deliver_naive(n, traffic, receivers);
+TEST_P(OmissionFabricEquivalence, FastMatchesNaive) {
+  const FabricCase c = omission_traffic_case(GetParam());
+  const std::uint32_t n = c.n;
+  RoundTraffic traffic{c.payloads, &c.plan};
+  const auto fast = deliver(n, traffic, c.receivers);
+  const auto naive = deliver_naive(n, traffic, c.receivers);
   ASSERT_EQ(fast.size(), naive.size());
   for (std::uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
-  expect_counts_match(n, traffic, receivers, naive);
+  expect_counts_match(n, traffic, c.receivers, naive);
+  expect_rare_bit_boundaries(c);
+}
+
+TEST_P(OmissionFabricEquivalence, KeptScratchMatchesNaiveAsNChanges) {
+  expect_kept_scratch_across_sizes(
+      [&](std::uint64_t k, std::uint32_t n) {
+        return omission_traffic_case(GetParam() + 1000 * k, n);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, OmissionFabricEquivalence,
@@ -507,11 +680,19 @@ TEST(CorruptFabricTest, ValidationRejectsBadCorruptions) {
 class CorruptFabricEquivalence
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
-  Xoshiro256 rng(GetParam() * 0xd1b54a32d192ed03ULL + 1);
-  const std::uint32_t n = 3 + static_cast<std::uint32_t>(rng.below(60));
+/// A random crash, omission and corruption round drawn from `seed`, over 3
+/// to 62 processes unless `size` fixes n (the rest of the draw is
+/// unchanged).
+FabricCase corrupt_traffic_case(std::uint64_t seed,
+                                std::optional<std::uint32_t> size = {}) {
+  Xoshiro256 rng(seed * 0xd1b54a32d192ed03ULL + 1);
+  const std::uint32_t drawn = 3 + static_cast<std::uint32_t>(rng.below(60));
+  FabricCase c;
+  c.n = size.value_or(drawn);
+  const std::uint32_t n = c.n;
 
-  std::vector<std::optional<Payload>> payloads(n);
+  std::vector<std::optional<Payload>>& payloads = c.payloads;
+  payloads.resize(n);
   std::vector<ProcessId> senders;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (rng.uniform() < 0.8) {
@@ -520,8 +701,9 @@ TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
     }
   }
 
-  FaultPlan plan;
-  DynBitset receivers(n, true);
+  FaultPlan& plan = c.plan;
+  DynBitset& receivers = c.receivers;
+  receivers = DynBitset(n, true);
   std::size_t used = 0;  // prefix of `senders` consumed by directives so far
   if (!senders.empty()) {
     const std::uint32_t crashes = static_cast<std::uint32_t>(
@@ -575,14 +757,27 @@ TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
   }
   for (std::uint32_t i = 0; i < n; ++i)
     if (rng.uniform() < 0.2) receivers.reset(i);
+  return c;
+}
 
-  RoundTraffic traffic{payloads, &plan};
-  const auto fast = deliver(n, traffic, receivers);
-  const auto naive = deliver_naive(n, traffic, receivers);
+TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
+  const FabricCase c = corrupt_traffic_case(GetParam());
+  const std::uint32_t n = c.n;
+  RoundTraffic traffic{c.payloads, &c.plan};
+  const auto fast = deliver(n, traffic, c.receivers);
+  const auto naive = deliver_naive(n, traffic, c.receivers);
   ASSERT_EQ(fast.size(), naive.size());
   for (std::uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
-  expect_counts_match(n, traffic, receivers, naive);
+  expect_counts_match(n, traffic, c.receivers, naive);
+  expect_rare_bit_boundaries(c);
+}
+
+TEST_P(CorruptFabricEquivalence, KeptScratchMatchesNaiveAsNChanges) {
+  expect_kept_scratch_across_sizes(
+      [&](std::uint64_t k, std::uint32_t n) {
+        return corrupt_traffic_case(GetParam() + 1000 * k, n);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, CorruptFabricEquivalence,
@@ -595,22 +790,20 @@ INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, CorruptFabricEquivalence,
 // masks interleave, and masks reach non-receivers; omissions and
 // corruptions ride along. n spans one to four bitset words, word edges
 // included.
-struct GroupedCrashCase {
-  std::uint32_t n = 0;
-  std::vector<std::optional<Payload>> payloads;
-  FaultPlan plan;
-  DynBitset receivers;
-};
+using GroupedCrashCase = FabricCase;
 
 constexpr std::uint64_t kGroupedCrashSeeds = 60;
 
-GroupedCrashCase grouped_crash_case(std::uint64_t seed) {
+/// `size`, when given, fixes n; the rest of the draw is unchanged.
+GroupedCrashCase grouped_crash_case(std::uint64_t seed,
+                                    std::optional<std::uint32_t> size = {}) {
   Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ULL + 5);
   constexpr std::uint32_t kEdgeSizes[] = {64, 65, 128, 3, 200};
   GroupedCrashCase c;
   c.n = seed <= std::size(kEdgeSizes)
             ? kEdgeSizes[seed - 1]
             : 3 + static_cast<std::uint32_t>(rng.below(198));
+  c.n = size.value_or(c.n);
   const std::uint32_t n = c.n;
 
   c.payloads.resize(n);
@@ -729,6 +922,14 @@ TEST_P(GroupedCrashFabricEquivalence, FastMatchesNaive) {
         << "slot " << i << " n=" << n;
   }
   expect_counts_match(n, traffic, c.receivers, naive);
+  expect_rare_bit_boundaries(c);
+}
+
+TEST_P(GroupedCrashFabricEquivalence, KeptScratchMatchesNaiveAsNChanges) {
+  expect_kept_scratch_across_sizes(
+      [&](std::uint64_t k, std::uint32_t n) {
+        return grouped_crash_case(GetParam() + kGroupedCrashSeeds * k, n);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -943,11 +1144,65 @@ TEST_P(SharedMaskFabricEquivalence, LivePathMatchesNullPathAndNaive) {
             << live->count() << " slot " << i;
       }
     }
+    expect_rare_bit_boundaries(
+        FabricCase{n, c.payloads, c.plan, c.receivers}, &c.senders);
+  }
+}
+
+/// The plan of a shared-mask case, with its senders as the live set.
+struct SharedMaskRound {
+  FabricCase round;
+  DynBitset live;
+};
+
+SharedMaskRound shared_mask_round(std::uint32_t n, std::uint64_t trial) {
+  SharedMaskCase c = shared_mask_case(n, trial);
+  return {FabricCase{n, std::move(c.payloads), std::move(c.plan),
+                     std::move(c.receivers)},
+          std::move(c.senders)};
+}
+
+TEST_P(SharedMaskFabricEquivalence, KeptScratchMatchesNaiveAsNChanges) {
+  // Each parameter draws its own trials; the sizes are the fixed sequence.
+  const std::uint64_t first = kSharedMaskTrials + 2 * GetParam();
+  KeptScratch null_live, with_live;
+  for (const std::uint32_t n : kKeptScratchSizes) {
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      const SharedMaskRound r = shared_mask_round(n, first + k);
+      expect_kept_scratch_matches(r.round, nullptr, null_live);
+      expect_kept_scratch_matches(r.round, &r.live, with_live);
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(SharedMaskTraffic, SharedMaskFabricEquivalence,
                          ::testing::ValuesIn(kSharedMaskSizes));
+
+TEST(RareBitBoundaryTest, EverySuiteHostsBothBoundaries) {
+  // The boundary inputs above are only as strong as the cases that host
+  // them: each suite's generator must host both boundaries for most of its
+  // seeds.
+  const auto hosted = [](const FabricCase& c) {
+    FabricCase at_d = c, past_d = c;
+    return make_rare_bit_boundary(at_d, false).has_value() &&
+           make_rare_bit_boundary(past_d, true).has_value();
+  };
+  int crash_only = 0, omission = 0, corrupt = 0, grouped = 0, shared = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    crash_only += hosted(random_traffic_case(seed));
+    omission += hosted(omission_traffic_case(seed));
+    corrupt += hosted(corrupt_traffic_case(seed));
+    grouped += hosted(grouped_crash_case(seed));
+  }
+  for (const std::uint32_t n : kSharedMaskSizes)
+    for (std::uint64_t trial = 0; trial < kSharedMaskTrials; ++trial)
+      shared += hosted(shared_mask_round(n, trial).round);
+  EXPECT_GE(crash_only, 30);
+  EXPECT_GE(omission, 30);
+  EXPECT_GE(corrupt, 30);
+  EXPECT_GE(grouped, 20);
+  EXPECT_GE(shared, 40);
+}
 
 TEST(SharedMaskFabricTest, LiveSetMustCoverEveryDirectiveSender) {
   const auto payloads = bits_payloads({1, 0, 1, 0});

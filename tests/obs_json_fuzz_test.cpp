@@ -7,7 +7,11 @@
 //   * a CheckpointLedger loads a prefix of cells, never more than the intact
 //     ledger holds (the very cells it holds, when the file was cut), and
 //     throws nothing;
-//   * JsonlTraceReader yields records or throws obs::IoError.
+//   * JsonlTraceReader yields records or throws obs::IoError;
+//   * a serve::ResultCache built over a directory holding one mutated entry
+//     throws nothing, serves the mutant or quarantines it (renamed to
+//     *.quarantined and counted), and still serves every other entry's
+//     payload byte for byte.
 //
 // No other exception type may escape; under ASan/UBSan nothing may crash.
 #include <gtest/gtest.h>
@@ -32,6 +36,7 @@
 #include "obs/trace_writer.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
+#include "serve/cache.hpp"
 
 namespace synran {
 namespace {
@@ -270,6 +275,73 @@ TEST(ObsJsonFuzz, Trace1ReaderYieldsRecordsOrThrowsIoError) {
   reads_or_io_error(pristine);
   ASSERT_EQ(clean, 1u);
   for_each_mutant(pristine, 600, 0x7EACE, reads_or_io_error);
+}
+
+TEST(CacheFuzz, RecoveryServesOrQuarantinesEveryMutantEntry) {
+  const std::string dir = temp_path("cache");
+  fs::remove_all(dir);
+  const std::vector<std::string> keys = {
+      R"({"model":"sync","n":8,"t":2,"adversary":"coinbias"}|1|abc1234)",
+      R"({"model":"sync","n":48,"faults":"byz:0.2,2"}|1|abc1234)",
+      R"({"model":"async","n":16,"t":3,"scheduler":"fifo"}|1|abc1234)"};
+  std::vector<std::string> payloads;
+  {
+    serve::ResultCache cache({dir, 0, 3, 0});
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      JsonValue payload = JsonValue::object();
+      payload.set("reps", JsonValue(static_cast<std::int64_t>(12 + k)))
+          .set("mean_rounds", JsonValue(3.25 + 0.5 * static_cast<double>(k)))
+          .set("table", JsonValue::array()
+                            .push(JsonValue::array()
+                                      .push(JsonValue("agree \"yes\""))
+                                      .push(JsonValue(1)))
+                            .push(JsonValue::array()
+                                      .push(JsonValue("rounds"))
+                                      .push(JsonValue(-0.125))));
+      cache.store(keys[k], payload);
+      payloads.push_back(payload.dump());
+    }
+  }
+  // The middle entry is the one mutated; the other two must not notice.
+  const std::string entry =
+      dir + "/" + serve::cache_file_stem(keys[1]) + ".ckpt";
+  const std::string quarantined = entry + ".quarantined";
+  const std::string pristine = read_file(entry);
+  ASSERT_FALSE(pristine.empty());
+
+  std::size_t served = 0, quarantines = 0;
+  const auto recovers = [&](const std::string& text) {
+    fs::remove(quarantined);
+    write_file(entry, text);
+    try {
+      serve::ResultCache cache({dir, 0, 3, 0});
+      if (fs::exists(quarantined)) {
+        ++quarantines;
+        EXPECT_FALSE(fs::exists(entry)) << text;
+        EXPECT_EQ(cache.quarantined(), 1u) << text;
+        EXPECT_EQ(cache.entries(), keys.size() - 1) << text;
+        EXPECT_FALSE(cache.lookup(keys[1]).has_value()) << text;
+      } else {
+        ++served;
+        EXPECT_EQ(cache.quarantined(), 0u) << text;
+        EXPECT_EQ(cache.entries(), keys.size()) << text;
+        EXPECT_TRUE(cache.lookup(keys[1]).has_value()) << text;
+      }
+      for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+        const auto hit = cache.lookup(keys[k]);
+        ASSERT_TRUE(hit.has_value()) << text;
+        EXPECT_EQ(hit->dump(), payloads[k]) << text;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "cache recovery threw " << e.what() << "\n" << text;
+    }
+  };
+  recovers(pristine);
+  ASSERT_EQ(served, 1u);
+  for_each_mutant(pristine, 600, 0xCAC4E, recovers);
+  // Every cut but the one that drops only the final newline.
+  EXPECT_GE(quarantines, pristine.size() - 1);
+  fs::remove_all(dir);
 }
 
 }  // namespace

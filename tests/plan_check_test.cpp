@@ -899,11 +899,11 @@ std::string expect_fabric_agrees(const Scenario& s) {
     want = old_validate(s.n, traffic);
   } catch (const ArgumentError&) {
   }
-  DynBitset victims;
-  const std::string why = check_plan(s.n, traffic, victims);
+  PlanScratch scratch;
+  const std::string why = check_plan(s.n, traffic, scratch);
   EXPECT_EQ(why.empty(), want.has_value()) << s.label() << ": " << why;
   if (want.has_value() && why.empty()) {
-    EXPECT_TRUE(victims == *want) << s.label();
+    EXPECT_TRUE(scratch.victims == *want) << s.label();
   }
 
   const DynBitset receivers(s.n, true);
@@ -1043,20 +1043,20 @@ TEST(PlanCheck, SpanAndLiveSetSizesAreChecked) {
   const DynBitset receivers(n, true);
   const DynBitset long_live(n + 1, true);
   const FaultPlan plan;
-  DynBitset victims;
+  PlanScratch scratch;
   for (const RoundTraffic& traffic :
        {RoundTraffic{short_payloads, &plan},
         RoundTraffic{payloads, &plan, &long_live}}) {
     EXPECT_THROW(old_validate(n, traffic), ArgumentError);
-    EXPECT_NE(check_plan(n, traffic, victims), "");
+    EXPECT_NE(check_plan(n, traffic, scratch), "");
     EXPECT_THROW(deliver(n, traffic, receivers), ArgumentError);
     EXPECT_THROW(deliver_naive(n, traffic, receivers), ArgumentError);
   }
   // A null plan is well-formed and leaves no victims, whatever `victims`
   // held before.
-  victims = DynBitset(n, true);
-  EXPECT_EQ(check_plan(n, RoundTraffic{payloads, nullptr}, victims), "");
-  EXPECT_TRUE(victims == DynBitset(n));
+  scratch.victims = DynBitset(n, true);
+  EXPECT_EQ(check_plan(n, RoundTraffic{payloads, nullptr}, scratch), "");
+  EXPECT_TRUE(scratch.victims == DynBitset(n));
 }
 
 }  // namespace

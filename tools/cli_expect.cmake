@@ -3,12 +3,14 @@
 #
 #   cmake -DCLI=<path> "-DARGS=run;--threads;0x" -DEXPECT_RC=2
 #         [-DEXPECT_OUT=<substring>] [-DREMOVE=<file>]
-#         ["-DALSO_ARGS=<second invocation>"] -P cli_expect.cmake
+#         ["-DALSO_ARGS=<second invocation>" [-DALSO_RC=<code>]
+#          ["-DALSO_OUT=<substring>"]] -P cli_expect.cmake
 #
 # ARGS is a ;-separated list. A mismatch prints the full output and fails.
 # REMOVE deletes a file first (e.g. a stale checkpoint ledger, so a resume
 # test's recording run starts from nothing). ALSO_ARGS, when given, is a
-# second invocation held to the same exit code and substring.
+# second invocation held to the same exit code and substring, or to
+# ALSO_RC and ALSO_OUT when those are given.
 if(NOT DEFINED CLI OR NOT DEFINED EXPECT_RC)
   message(FATAL_ERROR "cli_expect.cmake needs -DCLI=... and -DEXPECT_RC=...")
 endif()
@@ -41,5 +43,13 @@ endif()
 if(DEFINED ALSO_ARGS)
   set(ARGS "${ALSO_ARGS}")
   unset(ALSO_ARGS CACHE)
+  if(DEFINED ALSO_RC)
+    set(EXPECT_RC "${ALSO_RC}")
+    unset(ALSO_RC CACHE)
+  endif()
+  if(DEFINED ALSO_OUT)
+    set(EXPECT_OUT "${ALSO_OUT}")
+    unset(ALSO_OUT CACHE)
+  endif()
   include(${CMAKE_CURRENT_LIST_FILE})
 endif()

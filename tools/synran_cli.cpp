@@ -284,8 +284,15 @@ int cmd_coin(const ArgvSource& args) {
     game = std::make_unique<ParityPresentGame>(n);
   else if (game_name == "leader")
     game = std::make_unique<LeaderBitGame>(n);
-  else if (game_name == "tribes")
-    game = std::make_unique<TribesGame>(n / 8 ? n / 8 : 1, 8);
+  else if (game_name == "tribes") {
+    // Tribes of 8: --n rounds down to a multiple of 8 (at least one tribe).
+    const std::uint32_t tribes = n / 8 ? n / 8 : 1;
+    if (tribes * 8 > kTribesMaxPlayers)
+      throw UsageError("invalid --n " + std::to_string(n) +
+                       ": the tribes game holds at most " +
+                       std::to_string(kTribesMaxPlayers) + " players");
+    game = std::make_unique<TribesGame>(tribes, 8);
+  }
   if (!game) {
     throw UsageError("unknown game (majority|majority0|parity|leader|tribes)");
   }
@@ -409,8 +416,13 @@ int cmd_trace_convert(const ArgvSource& args) {
     to = *parsed;
   }
   obs::Trace2Header header = cli_trace_header();
-  header.seed_schema = static_cast<std::uint16_t>(
-      args.u64("seed-schema", header.seed_schema));
+  // The trace/2 header stores the seed schema in 16 bits.
+  const std::uint64_t seed_schema =
+      args.u64("seed-schema", header.seed_schema);
+  if (seed_schema > 0xffff)
+    throw UsageError("invalid --seed-schema " + std::to_string(seed_schema) +
+                     ": the trace/2 header holds 0..65535");
+  header.seed_schema = static_cast<std::uint16_t>(seed_schema);
   header.git_rev = args.get("git-rev", header.git_rev);
   const auto reader = obs::open_trace_reader(in);
   const auto writer = obs::make_trace_writer(to, out, std::move(header));
